@@ -95,28 +95,12 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             raw.update(json.load(fh))
-    if args.command == "sweep":
-        if getattr(args, "task", None):
-            raw["task"] = args.task
-    else:
+    if args.command != "sweep":
         raw["task"] = _SUBCOMMAND_TASK[args.command]
-    overrides = {
-        "seed": args.seed, "trials": args.trials, "rho": args.rho,
-        "eps": args.eps, "delta": args.delta, "alpha": args.alpha,
-        "beta": args.beta, "n": args.n, "d": args.d, "kappa": args.kappa,
-        "R": args.R, "out": args.out, "zero_noise": args.zero_noise,
-        "samples_csv": args.samples_csv, "header": args.header,
-        "spectrum": getattr(args, "spectrum", None),
-        "m": getattr(args, "m", None),
-        "p": getattr(args, "p", None),
-        "flip_heavy": getattr(args, "flip_heavy", None),
-        "mechanism": getattr(args, "mechanism", None),
-        "attack_trials": getattr(args, "attack_trials", None),
-        "sweep_n": getattr(args, "sweep_n", None),
-    }
-    for k, v in overrides.items():
-        if v is not None:
-            raw[k] = v
+    # every flag's dest is the name of the config field it overrides
+    fields = ExperimentConfig.__dataclass_fields__
+    raw.update({k: v for k, v in vars(args).items()
+                if k in fields and v is not None})
     if raw.get("zero_noise") and not args.i_understand_no_privacy:
         raise PrivestError(
             "--zero-noise voids every privacy guarantee; "

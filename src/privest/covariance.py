@@ -46,20 +46,13 @@ class Preconditioner:
 
     Each round's factor is symmetric of the form (1/sqrt(K)) * P_V + P_Vperp
     (times the round scale); the accumulated product is applied to samples as
-    rows @ A.T.  ``V`` is the large-eigenvalue basis from the final
-    completed round (empty matrix when no round found one).
+    rows @ A.T.
     """
 
     A: np.ndarray
-    V: np.ndarray
-    K: float
     round_log: list = field(default_factory=list)
     budget_spent: Optional[PrivacyBudget] = None
     kappa_star: Optional[float] = None
-
-    @property
-    def dim(self) -> int:
-        return self.A.shape[0]
 
 
 @dataclass
@@ -175,7 +168,6 @@ def ppc(x: np.ndarray, rho: float, beta: float, kappa: float,
     else:
         t_rounds = math.ceil(math.log(kappa / TARGET_KAPPA) / math.log(1.0 / ROUND_SHRINK))
     a_total = np.eye(d)
-    v_last = np.zeros((d, 0))
     log: list[RoundRecord] = []
     kap = kappa
     xt = x
@@ -184,13 +176,11 @@ def ppc(x: np.ndarray, rho: float, beta: float, kappa: float,
         a_round = ROUND_SCALE * a_w
         xt = xt @ a_round.T
         a_total = a_round @ a_total
-        if v.shape[1] > 0:
-            v_last = v
         log.append(RoundRecord(kappa=kap, threshold=kap / 2.0,
                                subspace_dim=int(v.shape[1]),
                                rho=rho / t_rounds, K=K))
         kap *= ROUND_SHRINK
-    return Preconditioner(A=a_total, V=v_last, K=K, round_log=log,
+    return Preconditioner(A=a_total, round_log=log,
                           budget_spent=PrivacyBudget.zcdp(rho if t_rounds else 0.0))
 
 

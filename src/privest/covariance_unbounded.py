@@ -52,8 +52,9 @@ class TraceEstimate:
 
 
 def _norm_bucket(v: float, r_min: int) -> Optional[int]:
-    """Bucket index r with C^{r-1} < v <= C^r; below the universe floor -> None."""
-    if v <= 0:
+    """Bucket index r with C^{r-1} < v <= C^r; below the universe floor or
+    not finite -> None."""
+    if not 0 < v < math.inf:
         return None
     lv = math.log(v) / math.log(BUCKET_BASE)
     r = math.ceil(lv - 1e-9)  # exact powers land in their own bucket
@@ -115,8 +116,12 @@ def weak_ppc_no_bound(x: np.ndarray, rho: float, beta: float,
 
     # The sweep re-examines the same samples many times; the empirical
     # second moment is cached and only the clamp mask is rechecked, since
-    # only the noise must be redrawn per attempt.
+    # only the noise must be redrawn per attempt.  The cache holds only the
+    # rows within the loosest clamp (every attempt drops the others; the
+    # divisor stays n), so a non-finite or overflowing row never enters it.
     norms = np.einsum("ij,ij->i", x, x)
+    keep = norms <= clamp_threshold_sq(b, d, n, beta_step)
+    x, norms = x[keep], norms[keep]
     cov_full = (x.T @ x) / n
     cov_full = (cov_full + cov_full.T) / 2.0
 
@@ -161,7 +166,6 @@ def ppc_range(x: np.ndarray, eps: float, delta: float, beta: float,
     beta_r = beta / d
 
     a_total = np.eye(d)
-    v_last = np.zeros((d, 0))
     log: list[RoundRecord] = []
     spent: list[tuple[float, float]] = []
     xt = x
@@ -184,7 +188,6 @@ def ppc_range(x: np.ndarray, eps: float, delta: float, beta: float,
         v, a_mat = out
         xt = xt @ a_mat.T
         a_total = a_mat @ a_total
-        v_last = v
         dims_seen += v.shape[1]
         log.append(RoundRecord(kappa=b_j, threshold=a_j,
                                subspace_dim=int(v.shape[1]), rho=rho_r,
@@ -193,7 +196,7 @@ def ppc_range(x: np.ndarray, eps: float, delta: float, beta: float,
             break
     a_total = 2.0 * a_total
     eps_spent, delta_spent = compose_approx_dp(spent, mode="basic")
-    return Preconditioner(A=a_total, V=v_last, K=float("nan"), round_log=log,
+    return Preconditioner(A=a_total, round_log=log,
                           budget_spent=PrivacyBudget.approx(eps_spent, delta_spent),
                           kappa_star=FLOOR_COEFF * BIG_XI * d ** 4)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Optional
@@ -57,7 +56,6 @@ class ExperimentConfig:
     mc_trials: int = 4000
     flip_heavy: bool = False
     zero_noise: bool = False
-    data_path: Optional[str] = None
     out: Optional[str] = None
     samples_csv: bool = False
     header: bool = False
@@ -157,8 +155,7 @@ def learn_product_flip_heavy(x: np.ndarray, rho: float, alpha: float,
     vote_rho = rho / 10.0
     flipped = []
     for j in range(d):
-        h = histogram_zcdp(list(x[:, j].astype(int)), [0, 1], vote_rho / d,
-                           beta, noise)
+        h = histogram_zcdp(x[:, j], [0, 1], vote_rho / d, beta, noise)
         if h.entries.get(1, 0.0) > 0.5:
             flipped.append(j)
     xf = x.copy()
@@ -199,7 +196,6 @@ def _run_trial(cfg: ExperimentConfig, seed: int, trial: int) -> dict:
     data_src = NoiseSource(_mix64(seed * 2 + 1))
     mech_src = NoiseSource(seed, zero_noise=cfg.zero_noise)
     out: dict = {"seed": seed, "trial": trial, "metrics": {}, "extra": {}}
-    t0 = time.perf_counter()
 
     if cfg.task == "gaussian-cov":
         truth = _truth_gaussian(cfg, data_src)
@@ -289,7 +285,6 @@ def _run_trial(cfg: ExperimentConfig, seed: int, trial: int) -> dict:
         out["budget"] = None
         out["extra"]["attack_summary"] = report.summary()
 
-    out["runtime_ms"] = 1000.0 * (time.perf_counter() - t0)
     return out
 
 
@@ -388,7 +383,6 @@ def write_report(report: TrialReport, out_dir: Path):
         "aggregates": report.aggregates,
         "trials": [{
             "seed": r["seed"], "trial": r["trial"],
-            "runtime_ms": r.get("runtime_ms"),
             "budget": r["budget"].as_dict() if r.get("budget") else None,
             "metrics": r["metrics"],
         } for r in report.per_trial],

@@ -9,9 +9,10 @@ Two mechanisms:
 * ``histogram_zcdp`` — Gaussian noise on the full count vector of a finite
   universe, rho-zCDP.
 
-Bucket keys are signed integers; ``None`` is the out-of-universe sentinel
-(a bucket like any other for counting purposes, ordered after all integer
-keys for tie-breaking).
+Bucket keys are signed integers; ``histogram_zcdp`` counts integer key
+arrays.  The stable histogram also accepts ``None``, the out-of-universe
+sentinel (a bucket like any other for counting purposes, ordered after all
+integer keys for tie-breaking).
 """
 
 from __future__ import annotations
@@ -19,7 +20,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 from .errors import InvalidInputError, InvalidParameterError
 from .noise import NoiseSource
@@ -81,16 +85,17 @@ def stable_histogram_approx_dp(data: Sequence[BucketKey], eps: float,
     return HistogramResult(entries=entries, n=n, accuracy_bound=bound)
 
 
-def histogram_zcdp(data: Sequence[BucketKey], universe: Sequence[BucketKey],
-                   rho: float, beta: float,
-                   noise: NoiseSource) -> HistogramResult:
+def histogram_zcdp(data: ArrayLike, universe: ArrayLike, rho: float,
+                   beta: float, noise: NoiseSource) -> HistogramResult:
     """rho-zCDP histogram over a finite universe via the Gaussian mechanism.
 
-    Replacing one sample moves the count vector by at most 1 in two buckets,
-    so the l2-sensitivity of the frequency vector is sqrt(2)/n exactly.
+    ``data`` and ``universe`` are integer key arrays; entries are keyed by
+    the universe in ascending order.  Replacing one sample moves the count
+    vector by at most 1 in two buckets, so the l2-sensitivity of the
+    frequency vector is sqrt(2)/n exactly.
     """
-    data = list(data)
-    universe = list(universe)
+    data = np.asarray(data)
+    universe = np.asarray(universe)
     n = len(data)
     if n == 0:
         raise InvalidParameterError("empty data")
@@ -98,20 +103,21 @@ def histogram_zcdp(data: Sequence[BucketKey], universe: Sequence[BucketKey],
         raise InvalidParameterError(f"rho must be > 0, got {rho}")
     if not (0 < beta < 1):
         raise InvalidParameterError(f"beta must be in (0,1), got {beta}")
-    uset = set(universe)
-    if len(uset) != len(universe):
+    keys = np.unique(universe)
+    if keys.size != universe.size:
         raise InvalidInputError("universe contains duplicate keys")
-    counts = Counter(data)
-    bad = set(counts) - uset
-    if bad:
-        raise InvalidInputError(f"keys outside universe: {sorted(bad, key=_sort_key)[:5]}")
+    pos = np.searchsorted(keys, data)
+    inside = pos < keys.size
+    inside[inside] = keys[pos[inside]] == data[inside]
+    if not inside.all():
+        raise InvalidInputError(
+            f"keys outside universe: {np.unique(data[~inside])[:5].tolist()}")
 
     sigma = (math.sqrt(2.0) / n) / math.sqrt(2.0 * rho)
-    draws = noise.gaussian(sigma, size=len(universe))
-    entries = {}
-    for i, key in enumerate(sorted(universe, key=_sort_key)):
-        entries[key] = counts.get(key, 0) / n + float(draws[i])
-    bound = math.sqrt(2.0 * math.log(2.0 * len(universe) / beta) / rho) / n * math.sqrt(2.0)
+    draws = noise.gaussian(sigma, size=keys.size)
+    freqs = np.bincount(pos, minlength=keys.size) / n + draws
+    entries = dict(zip(keys.tolist(), freqs.tolist()))
+    bound = math.sqrt(2.0 * math.log(2.0 * keys.size / beta) / rho) / n * math.sqrt(2.0)
     return HistogramResult(entries=entries, n=n, accuracy_bound=bound)
 
 
@@ -122,11 +128,5 @@ def argmax_bucket(h: HistogramResult, threshold: float) -> BucketKey:
     or python None when no bucket qualifies.  Ties break toward the smaller
     index; the bottom sentinel sorts after every integer.
     """
-    best_key = None
-    best_val = None
-    found = False
-    for key in sorted(h.entries, key=_sort_key):
-        v = h.entries[key]
-        if v >= threshold and (not found or v > best_val):
-            best_key, best_val, found = key, v, True
-    return best_key if found else None
+    return min((k for k, v in h.entries.items() if v >= threshold),
+               key=lambda k: (-h.entries[k], k is None, k or 0), default=None)

@@ -47,10 +47,6 @@ class MeanEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _clamp_keys(keys: np.ndarray, lo: int, hi: int) -> list[int]:
-    return [int(k) for k in np.clip(keys, lo, hi)]
-
-
 def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
                     kappa: float, noise: NoiseSource) -> MeanEstimate:
     """One-dimensional mean estimation for N(mu, sigma^2), |mu| <= R,
@@ -85,8 +81,8 @@ def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
         k_hi = math.ceil(math.log2(math.sqrt(kappa))) + 8
         with np.errstate(divide="ignore"):
             raw = np.floor(np.log2(np.where(absd > 0, absd, 2.0 ** (k_lo - 1))))
-        keys = _clamp_keys(raw, k_lo, k_hi)
-        h = histogram_zcdp(keys, list(range(k_lo, k_hi + 1)), rho / 4.0,
+        keys = np.clip(raw, k_lo, k_hi).astype(int)
+        h = histogram_zcdp(keys, np.arange(k_lo, k_hi + 1), rho / 4.0,
                            beta / 2.0, noise)
         k_star = argmax_bucket(h, SCALE_VOTE)
         if k_star is None:
@@ -99,11 +95,14 @@ def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
     # Location vote: buckets covering [-R, R], out-of-range samples clamped
     # into the end buckets.  With an unknown scale the width is twice the
     # voted scale, so the bucket is at least one true standard deviation
-    # wide and the modal bucket keeps a quarter of the mass.
+    # wide and the modal bucket keeps a quarter of the mass.  A NaN sample
+    # goes to the lowest bucket: a fixed map from sample to bucket, so the
+    # vote's sensitivity is unchanged.
     width = sigma_hat if known_scale else 2.0 * sigma_hat
     g = math.ceil(R / width) + 1
-    keys = _clamp_keys(np.floor(hist_block / width), -g, g - 1)
-    h = histogram_zcdp(keys, list(range(-g, g)), rho_loc, beta / 2.0, noise)
+    keys = np.nan_to_num(np.floor(hist_block / width), nan=-g)
+    keys = np.clip(keys, -g, g - 1).astype(int)
+    h = histogram_zcdp(keys, np.arange(-g, g), rho_loc, beta / 2.0, noise)
     r_star = argmax_bucket(h, LOCATION_VOTE)
     if r_star is None:
         return MeanEstimate(mu_hat=None, budget_spent=PrivacyBudget.zcdp(rho),

@@ -18,8 +18,6 @@ import numpy as np
 from .errors import InvalidInputError, InvalidParameterError
 from .noise import NoiseSource
 
-_SYM_ATOL = 0.0  # symmetry is required exactly; inputs are built symmetric
-
 
 @dataclass(frozen=True)
 class PrivacyBudget:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from privest.covariance import pgce
 from privest.covariance_unbounded import (BIG_XI, BUCKET_BASE, FLOOR_COEFF,
                                           XI, _norm_bucket, p_estimate_trace,
                                           pgce_no_bound, ppc_range,
@@ -225,3 +226,19 @@ class TestPgceNoBound:
         want_delta = (j + 1) * delta_r + j * delta_r + delta
         assert est.budget_spent.eps == pytest.approx(want_eps, rel=1e-12)
         assert est.budget_spent.delta == pytest.approx(want_delta, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e160])
+@pytest.mark.parametrize("estimate", [
+    lambda x: pgce(x, 1.0, 0.05, 1e7, NoiseSource.zero()),
+    lambda x: pgce_no_bound(x, 1.0, 1e-6, 0.05, NoiseSource.zero()),
+], ids=["pgce", "pgce_no_bound"])
+def test_bad_row_counts_as_zero_row(estimate, bad):
+    # a row whose squared norm is not finite is dropped by every clamp and
+    # lands in the bottom norm bucket, exactly as a zero row does
+    x = gaussian_rows([1.0, 50.0, 1e4, 1e7], 50_000, 8)
+    x[0] = 0.0
+    want = estimate(x).sigma_hat
+    x[0] = bad
+    got = estimate(x).sigma_hat
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

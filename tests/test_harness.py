@@ -67,13 +67,14 @@ class TestRunExperiment:
         assert configured_budget(cfg2) is None
 
     def test_deterministic_reports(self, tmp_path):
-        kw = dict(task="product", rho=1.0, n=2000, d=4, trials=2, seed=3,
-                  m=400)
-        run_experiment(ExperimentConfig(out=str(tmp_path / "a"), **kw))
-        run_experiment(ExperimentConfig(out=str(tmp_path / "b"), **kw))
-        a = (tmp_path / "a" / "report.csv").read_bytes()
-        b = (tmp_path / "b" / "report.csv").read_bytes()
-        assert a == b
+        cfg = ExperimentConfig(task="product", rho=1.0, n=2000, d=4,
+                               trials=2, seed=3, m=400, out=str(tmp_path))
+        runs = []
+        for _ in range(2):
+            run_experiment(cfg)
+            runs.append([(tmp_path / name).read_bytes()
+                         for name in ("report.csv", "report.json")])
+        assert runs[0] == runs[1]
 
     def test_sweep_combines_sizes(self):
         cfg = ExperimentConfig(task="product", rho=1.0, d=4, trials=1,

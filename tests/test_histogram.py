@@ -82,6 +82,30 @@ class TestHistogramZcdp:
         with pytest.raises(InvalidInputError):
             histogram_zcdp([0], [0, 0], 1.0, 0.05, NoiseSource(0))
 
+    def test_empty_data_or_universe_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            histogram_zcdp([], [0, 1], 1.0, 0.05, NoiseSource(0))
+        with pytest.raises(InvalidInputError):
+            histogram_zcdp([0], [], 1.0, 0.05, NoiseSource(0))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=1,
+                    max_size=40),
+           st.integers(min_value=0, max_value=2**32))
+    def test_matches_counting_loop(self, data, seed):
+        # reference: count each key with a loop over the ascending universe,
+        # the i-th noise draw going to the i-th key
+        universe = list(range(5, -6, -1))
+        rho, n = 0.5, len(data)
+        h = histogram_zcdp(np.array(data), universe, rho, 0.05,
+                           NoiseSource(seed))
+        sigma = (math.sqrt(2.0) / n) / math.sqrt(2.0 * rho)
+        draws = NoiseSource(seed).gaussian(sigma, size=len(universe))
+        want = {k: data.count(k) / n + float(draws[i])
+                for i, k in enumerate(sorted(universe))}
+        assert h.entries == want
+        assert list(h.entries) == sorted(universe)
+
     def test_sensitivity_worst_case(self):
         # replacing one sample changes the exact count vector by 1 in two
         # buckets: l2 change of the frequency vector is sqrt(2)/n exactly

@@ -197,6 +197,19 @@ class TestLearnGaussian:
         emp = z.T @ z / z.shape[0]
         assert np.allclose(cov_est.sigma_hat, emp, atol=1e-10)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e300])
+    def test_bad_entry_in_mean_vote(self, bad):
+        # pme hands its last third of rows to the coordinate-wise votes;
+        # row 2*(n//3) is the first of them
+        d, n = 3, 30_000
+        x = sample_gaussian(GaussianParams(np.zeros(d), np.diag([1.0, 4.0, 9.0])),
+                            n, NoiseSource(15))
+        x[2 * (n // 3), 0] = bad
+        mean_est, cov_est = learn_gaussian(x, 1.0, 0.1, 0.05, 5.0, 10.0,
+                                           NoiseSource(1))
+        assert mean_est.aborted or np.all(np.isfinite(mean_est.mu_hat))
+        assert np.all(np.isfinite(cov_est.sigma_hat))
+
     def test_budget_composition(self):
         x = NoiseSource(13).gaussian(1.0, size=(1200, 2))
         mean_est, cov_est = learn_gaussian(x, 0.8, 0.1, 0.05, 5.0, 10.0,
