@@ -5,7 +5,8 @@ one-step preconditioner that privately finds the large-eigenvalue subspace
 and shrinks it (``weak_ppc``), the recursion that drives the certified
 condition bound down to 1000 (``ppc``), and the full estimator that
 preconditions, estimates in the well-conditioned frame, and conjugates back
-(``pgce``).
+(``pgce``).  The rounds never transform the samples: they read one cached
+Gram matrix through the accumulated map (``_Frame``).
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyInputError, InvalidParameterError, SingularMatrixError
-from .linalg import project_psd
+from .errors import EmptyInputError, InvalidParameterError
+from .linalg import project_psd, sym_eigh
 from .noise import NoiseSource
 from .privacy import PrivacyBudget, gaussian_mechanism_symmetric
 
@@ -27,6 +28,14 @@ TARGET_KAPPA = 1000.0
 ROUND_SHRINK = 0.7
 # Per-round inflation absorbing estimation error in the certificate.
 ROUND_SCALE = 1.1
+# ppc's per-round shrink of the heavy subspace (each factor scales it by
+# 1/sqrt(K)).
+ROUND_K = 2.0
+# The rounds' passes over the rows go in blocks of at most this many
+# multiply-adds.  OpenBLAS runs a product that small on the calling thread;
+# splitting each whole pass over two threads made an operation 2-3x slower
+# whenever another process kept the second core busy.
+_BLOCK_MADDS = 2 ** 18
 
 
 @dataclass
@@ -46,13 +55,18 @@ class Preconditioner:
 
     Each round's factor is symmetric of the form (1/sqrt(K)) * P_V + P_Vperp
     (times the round scale); the accumulated product is applied to samples as
-    rows @ A.T.
+    rows @ A.T.  ``ppc`` also fills the exact inverse ``A_inv``, the product
+    of the factors' inverses (1/ROUND_SCALE) * (I + (sqrt(K) - 1) V V^T),
+    never a dense inverse; its rounds read one cached Gram matrix through the
+    accumulated map instead of transforming the samples.  ``ppc_range`` fills
+    only A.
     """
 
     A: np.ndarray
     round_log: list = field(default_factory=list)
     budget_spent: Optional[PrivacyBudget] = None
     kappa_star: Optional[float] = None
+    A_inv: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -68,8 +82,8 @@ def clamp_threshold_sq(kappa: float, d: int, n: int, beta: float) -> float:
     return kappa * d * (1.0 + 3.0 * math.log(2.0 * n / beta))
 
 
-def _validate_common(x: np.ndarray, rho: float, beta: float, kappa: float):
-    if x.ndim != 2:
+def _validate_common(x, rho: float, beta: float, kappa: float):
+    if len(x.shape) != 2:
         raise InvalidParameterError(f"samples must be 2-d, got shape {x.shape}")
     if x.shape[0] == 0:
         raise EmptyInputError("no samples")
@@ -90,24 +104,101 @@ def clamped_covariance(x: np.ndarray, b_sq: float) -> tuple[np.ndarray, int]:
     n = x.shape[0]
     norms = np.einsum("ij,ij->i", x, x)
     keep = norms <= b_sq
-    xs = x[keep]
+    xs = x if keep.all() else x[keep]
     cov = (xs.T @ xs) / n
     return (cov + cov.T) / 2.0, int(keep.sum())
 
 
-def naive_pce(x: np.ndarray, rho: float, beta: float, kappa: float,
+class _Frame:
+    """Samples seen through an accumulated map M, never transformed.
+
+    Holds the rows that any later clamp could keep, their clamped second
+    moment S = G/n computed once, their squared norms under M, and M with
+    its exact inverse, built one factor ROUND_SCALE * (I - c V V^T) per
+    round with shrink K.  ``shape`` is the samples' shape.
+    """
+
+    def __init__(self, x: np.ndarray, clamps: list[float], K: float):
+        """``clamps[t]`` is the squared-norm clamp applied after t factors
+        (ppc's rounds, then pgce's final estimate)."""
+        self.shape = x.shape
+        self.K = K
+        self.rounds = 0
+        # Each factor shrinks a norm by at most ROUND_SCALE/sqrt(K), so a
+        # row past this bound is dropped by every clamp.  Keeping it out of
+        # S stops a huge finite row from cancelling the rest when dropped.
+        self.loosest = max(self._reach(b, t) for t, b in enumerate(clamps))
+        norms = np.einsum("ij,ij->i", x, x)
+        keep = norms <= self.loosest
+        if keep.all():
+            self.rows, self.norms = x, norms
+        else:
+            self.rows, self.norms = x[keep], norms[keep]
+        second = (self.rows.T @ self.rows) / x.shape[0]
+        self.second = (second + second.T) / 2.0
+        self.m = np.eye(x.shape[1])
+        self.m_inv = np.eye(x.shape[1])
+
+    def _reach(self, b_sq: float, t: int) -> float:
+        """The largest squared norm, before any factor, that the clamp b_sq
+        applied after t factors can keep."""
+        return b_sq * (self.K / ROUND_SCALE ** 2) ** t
+
+    def moment(self, b_sq: float) -> tuple[np.ndarray, int]:
+        """clamped_covariance of the mapped rows: M (S - dropped x x^T / n) M^T."""
+        if self._reach(b_sq, self.rounds) > self.loosest:
+            raise InvalidParameterError(
+                f"clamp {b_sq} after {self.rounds} rounds is looser than the frame's")
+        drop = self.norms > b_sq
+        cov = self.second
+        if drop.any():
+            xd = self.rows[drop]
+            cov = cov - (xd.T @ xd) / self.shape[0]
+        if self.rounds:
+            cov = self.m @ cov @ self.m.T
+        return (cov + cov.T) / 2.0, self.rows.shape[0] - int(drop.sum())
+
+    def push(self, v: np.ndarray):
+        """Compose the round factor ROUND_SCALE * (I - c V V^T) onto M.
+
+        With y = M x, the new squared norm is
+        ROUND_SCALE^2 * (|y|^2 - (2c - c^2) |V^T y|^2), and 2c - c^2 = 1 - 1/K.
+        """
+        K = self.K
+        c = 1.0 - 1.0 / math.sqrt(K)
+        w = self.m.T @ v
+        n, d = self.rows.shape
+        step = max(1, _BLOCK_MADDS // (d * max(1, w.shape[1])))
+        sq = np.empty(n)
+        proj = np.empty((step, w.shape[1]))
+        for lo in range(0, n, step):
+            block = self.rows[lo:lo + step]
+            p = np.matmul(block, w, out=proj[:block.shape[0]])
+            np.einsum("ij,ij->i", p, p, out=sq[lo:lo + step])
+        self.norms = ROUND_SCALE ** 2 * (self.norms - (1.0 - 1.0 / K) * sq)
+        self.m = ROUND_SCALE * (self.m - c * (v @ (v.T @ self.m)))
+        self.m_inv = (self.m_inv + (math.sqrt(K) - 1.0) * ((self.m_inv @ v) @ v.T)) / ROUND_SCALE
+        self.rounds += 1
+
+
+def naive_pce(x, rho: float, beta: float, kappa: float,
               noise: NoiseSource, diagnostics: Optional[dict] = None) -> np.ndarray:
     """Clamp, average, noise, project: the basic private covariance estimator.
 
     Dropping rows over the clamp threshold bounds the Frobenius sensitivity
     of the average by 2*B^2/n, which calibrates the symmetric Gaussian noise.
-    The PSD projection can only improve the estimate.
+    The PSD projection can only improve the estimate.  ``x`` is an array of
+    samples or a ``_Frame`` of them.
     """
-    x = np.asarray(x, dtype=float)
+    if not isinstance(x, _Frame):
+        x = np.asarray(x, dtype=float)
     _validate_common(x, rho, beta, kappa)
     n, d = x.shape
     b_sq = clamp_threshold_sq(kappa, d, n, beta)
-    cov, kept = clamped_covariance(x, b_sq)
+    if isinstance(x, _Frame):
+        cov, kept = x.moment(b_sq)
+    else:
+        cov, kept = clamped_covariance(x, b_sq)
     delta_f = 2.0 * b_sq / n
     noisy = gaussian_mechanism_symmetric(cov, delta_f, rho, noise)
     out = project_psd(noisy)
@@ -126,7 +217,7 @@ def _split_from_noisy_cov(z: np.ndarray, kappa: float, K: float):
     A = (1/sqrt(K)) P_V + P_Vperp.  Ties at exactly kappa/2 go into V.
     """
     d = z.shape[0]
-    evals, evecs = np.linalg.eigh(z)
+    evals, evecs = sym_eigh(z)
     big = evals >= kappa / 2.0
     v = evecs[:, big]
     if v.shape[1] == 0:
@@ -136,13 +227,13 @@ def _split_from_noisy_cov(z: np.ndarray, kappa: float, K: float):
     return v, (a + a.T) / 2.0
 
 
-def weak_ppc(x: np.ndarray, rho: float, beta: float, kappa: float, K: float,
+def weak_ppc(x, rho: float, beta: float, kappa: float, K: float,
              noise: NoiseSource) -> tuple[np.ndarray, np.ndarray]:
     """One preconditioning step.
 
     Runs naive_pce, collects eigenvectors with eigenvalue >= kappa/2 into V,
     and shrinks that subspace by 1/sqrt(K).  Returns (V, A); V may be empty,
-    in which case A = I.
+    in which case A = I.  ``x`` is an array of samples or a ``_Frame``.
     """
     if kappa <= 1:
         raise InvalidParameterError(f"kappa must be > 1, got {kappa}")
@@ -152,36 +243,48 @@ def weak_ppc(x: np.ndarray, rho: float, beta: float, kappa: float, K: float,
     return _split_from_noisy_cov(z, kappa, K)
 
 
-def ppc(x: np.ndarray, rho: float, beta: float, kappa: float,
-        noise: NoiseSource, K: float = 2.0) -> Preconditioner:
+def _round_clamps(n: int, d: int, beta: float, kappa: float) -> tuple[list, list]:
+    """ppc's round bounds (kappa, 0.7*kappa, ... while above TARGET_KAPPA)
+    and the squared-norm clamp each round applies."""
+    if kappa <= TARGET_KAPPA:
+        return [], []
+    t_rounds = math.ceil(math.log(kappa / TARGET_KAPPA) / math.log(1.0 / ROUND_SHRINK))
+    kaps = [kappa]
+    for _ in range(t_rounds - 1):
+        kaps.append(kaps[-1] * ROUND_SHRINK)
+    return kaps, [clamp_threshold_sq(k, d, n, beta / t_rounds) for k in kaps]
+
+
+def ppc(x, rho: float, beta: float, kappa: float,
+        noise: NoiseSource, K: float = ROUND_K) -> Preconditioner:
     """Recursive private preconditioning down to the target bound.
 
     Runs T = ceil(ln(kappa/1000) / ln(1/0.7)) rounds (0 when kappa <= 1000),
     splitting rho and beta evenly.  Each round shrinks the certified bound by
     0.7 while the accumulated A keeps I <= A Sigma A^T <= 1000 I w.h.p.
+    ``x`` is an array of samples or a fresh ``_Frame`` of them, which the
+    rounds advance with the frame's own K; with no rounds, no sample is read.
     """
-    x = np.asarray(x, dtype=float)
+    if not isinstance(x, _Frame):
+        x = np.asarray(x, dtype=float)
     _validate_common(x, rho, beta, kappa)
-    d = x.shape[1]
-    if kappa <= TARGET_KAPPA:
-        t_rounds = 0
-    else:
-        t_rounds = math.ceil(math.log(kappa / TARGET_KAPPA) / math.log(1.0 / ROUND_SHRINK))
-    a_total = np.eye(d)
+    n, d = x.shape
+    kaps, clamps = _round_clamps(n, d, beta, kappa)
+    t_rounds = len(kaps)
+    if not t_rounds:
+        return Preconditioner(A=np.eye(d), A_inv=np.eye(d),
+                              budget_spent=PrivacyBudget.zcdp(0.0))
+    frame = x if isinstance(x, _Frame) else _Frame(x, clamps, K)
+    K = frame.K
     log: list[RoundRecord] = []
-    kap = kappa
-    xt = x
-    for _ in range(t_rounds):
-        v, a_w = weak_ppc(xt, rho / t_rounds, beta / t_rounds, kap, K, noise)
-        a_round = ROUND_SCALE * a_w
-        xt = xt @ a_round.T
-        a_total = a_round @ a_total
+    for kap in kaps:
+        v, _ = weak_ppc(frame, rho / t_rounds, beta / t_rounds, kap, K, noise)
+        frame.push(v)
         log.append(RoundRecord(kappa=kap, threshold=kap / 2.0,
                                subspace_dim=int(v.shape[1]),
                                rho=rho / t_rounds, K=K))
-        kap *= ROUND_SHRINK
-    return Preconditioner(A=a_total, round_log=log,
-                          budget_spent=PrivacyBudget.zcdp(rho if t_rounds else 0.0))
+    return Preconditioner(A=frame.m, A_inv=frame.m_inv, round_log=log,
+                          budget_spent=PrivacyBudget.zcdp(rho))
 
 
 def pgce(x: np.ndarray, rho: float, beta: float, kappa: float,
@@ -191,19 +294,19 @@ def pgce(x: np.ndarray, rho: float, beta: float, kappa: float,
     Half the budget preconditions; the other half runs naive_pce on the
     transformed samples at the tighter of (kappa, 1000) — after
     preconditioning the transformed covariance is certified below both.
+    Both halves read one ``_Frame``, and the estimate is conjugated back
+    through the preconditioner's exact inverse.
     """
     x = np.asarray(x, dtype=float)
     _validate_common(x, rho, beta, kappa)
-    pre = ppc(x, rho / 2.0, beta / 2.0, kappa, noise)
-    y = x @ pre.A.T
+    n, d = x.shape
     kappa_eff = min(kappa, TARGET_KAPPA)
+    _, clamps = _round_clamps(n, d, beta / 2.0, kappa)
+    frame = _Frame(x, clamps + [clamp_threshold_sq(kappa_eff, d, n, beta / 2.0)], ROUND_K)
+    pre = ppc(frame, rho / 2.0, beta / 2.0, kappa, noise)
     diag: dict = {}
-    sigma_tilde = naive_pce(y, rho / 2.0, beta / 2.0, kappa_eff, noise, diagnostics=diag)
-    try:
-        a_inv = np.linalg.inv(pre.A)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - A is PD by construction
-        raise SingularMatrixError("preconditioner is singular") from exc
-    sigma_hat = a_inv @ sigma_tilde @ a_inv.T
+    sigma_tilde = naive_pce(frame, rho / 2.0, beta / 2.0, kappa_eff, noise, diagnostics=diag)
+    sigma_hat = pre.A_inv @ sigma_tilde @ pre.A_inv.T
     sigma_hat = (sigma_hat + sigma_hat.T) / 2.0
     diag["rounds"] = pre.round_log
     diag["kappa_eff"] = kappa_eff

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .covariance import (CovEstimate, Preconditioner, RoundRecord,
-                         clamp_threshold_sq, _split_from_noisy_cov, pgce)
+                         clamp_threshold_sq, _Frame, _split_from_noisy_cov, pgce)
 from .errors import (EmptyInputError, EstimationFailedError,
                      InvalidParameterError)
 from .histogram import stable_histogram_approx_dp
@@ -119,22 +119,12 @@ def weak_ppc_no_bound(x: np.ndarray, rho: float, beta: float,
     # only the noise must be redrawn per attempt.  The cache holds only the
     # rows within the loosest clamp (every attempt drops the others; the
     # divisor stays n), so a non-finite or overflowing row never enters it.
-    norms = np.einsum("ij,ij->i", x, x)
-    keep = norms <= clamp_threshold_sq(b, d, n, beta_step)
-    x, norms = x[keep], norms[keep]
-    cov_full = (x.T @ x) / n
-    cov_full = (cov_full + cov_full.T) / 2.0
+    frame = _Frame(x, [clamp_threshold_sq(b, d, n, beta_step)], 1.0)
 
     kappa = b
     while kappa > a / 2.0:
         b_sq = clamp_threshold_sq(kappa, d, n, beta_step)
-        drop = norms > b_sq
-        if drop.any():
-            xd = x[drop]
-            cov = cov_full - (xd.T @ xd) / n
-            cov = (cov + cov.T) / 2.0
-        else:
-            cov = cov_full
+        cov, _ = frame.moment(b_sq)
         sigma = (2.0 * b_sq / n) / math.sqrt(2.0 * rho_step)
         z = cov + sample_gue(d, sigma, noise)
         v, a_mat = _split_from_noisy_cov(z, kappa, K=kappa / d ** 2)

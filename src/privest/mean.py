@@ -175,7 +175,9 @@ def pme(x: np.ndarray, rho: float, alpha: float, beta: float, R: float,
     The first two thirds of the rows form mean-free difference pairs
     (X_{2i} - X_{2i-1})/sqrt(2) that drive the covariance preconditioner
     (budget rho); the last third is transformed by A and handed to the
-    coordinate-wise estimator at condition bound 1000 (budget rho).
+    coordinate-wise estimator at condition bound 1000 (budget rho), and the
+    estimate is mapped back through A's exact inverse.  With no
+    preconditioning rounds A = I and the rows pass as they are.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -186,7 +188,7 @@ def pme(x: np.ndarray, rho: float, alpha: float, beta: float, R: float,
         raise InvalidParameterError(f"need at least 6 rows, got {total}")
     z = (x[1:2 * n:2] - x[0:2 * n:2]) / math.sqrt(2.0)
     pre = ppc(z, rho, beta, kappa, noise)
-    y = x[2 * n:3 * n] @ pre.A.T
+    y = x[2 * n:3 * n] @ pre.A.T if pre.round_log else x[2 * n:3 * n]
     inner = naive_pme(y, rho, alpha, beta, 1000.0 * R, 1000.0, noise)
     diagnostics = {"preconditioner_rounds": pre.round_log,
                    "ignored_rows": total - 3 * n,
@@ -194,7 +196,7 @@ def pme(x: np.ndarray, rho: float, alpha: float, beta: float, R: float,
     if inner.aborted:
         return MeanEstimate(mu_hat=None, budget_spent=PrivacyBudget.zcdp(2.0 * rho),
                             aborted=True, diagnostics=diagnostics)
-    mu_hat = np.linalg.solve(pre.A, inner.mu_hat)
+    mu_hat = pre.A_inv @ inner.mu_hat
     return MeanEstimate(mu_hat=mu_hat, budget_spent=PrivacyBudget.zcdp(2.0 * rho),
                         weak_estimate=inner.weak_estimate,
                         diagnostics=diagnostics)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from privest.covariance import (clamp_threshold_sq, clamped_covariance,
+from privest.covariance import (ROUND_SCALE, ROUND_SHRINK, TARGET_KAPPA,
+                                _Frame, clamp_threshold_sq, clamped_covariance,
                                 naive_pce, pgce, ppc, weak_ppc)
 from privest.errors import EmptyInputError, InvalidParameterError
 from privest.linalg import GaussianParams, mahalanobis_mat, sample_gaussian
@@ -226,3 +227,75 @@ class TestPgce:
             est = pgce(x, 1.0, 0.05, 1e4, NoiseSource(seed))
             errs.append(mahalanobis_mat(est.sigma_hat - sigma, sigma))
         assert float(np.median(errs)) <= 0.3
+
+
+def materialised_ppc(x, rho, beta, kappa, noise, K=2.0):
+    """ppc written as a loop that transforms a copy of the samples in every
+    round.  Returns A and, per round, the mask of rows over its clamp."""
+    n, d = x.shape
+    t_rounds = 0
+    if kappa > TARGET_KAPPA:
+        t_rounds = math.ceil(math.log(kappa / TARGET_KAPPA) / math.log(1.0 / ROUND_SHRINK))
+    a_total, xt, kap, dropped = np.eye(d), x, kappa, []
+    for _ in range(t_rounds):
+        b_sq = clamp_threshold_sq(kap, d, n, beta / t_rounds)
+        dropped.append(~(np.einsum("ij,ij->i", xt, xt) <= b_sq))
+        _, a_w = weak_ppc(xt, rho / t_rounds, beta / t_rounds, kap, K, noise)
+        a_round = ROUND_SCALE * a_w
+        xt = xt @ a_round.T
+        a_total = a_round @ a_total
+        kap *= ROUND_SHRINK
+    return a_total, np.array(dropped)
+
+
+class TestCachedFrame:
+    """ppc and pgce read one cached second moment through the accumulated
+    map; they must agree with transforming the samples every round."""
+
+    @pytest.fixture(scope="class")
+    def heavy_rows(self):
+        # Student-t rows (2 degrees of freedom) on a kappa = 1e5 spectrum
+        rng = np.random.default_rng(0)
+        n, d = 20_000, 4
+        scale = np.sqrt([1.0, 10.0, 1e3, 1e5])
+        t = np.sqrt(rng.chisquare(2.0, size=(n, 1)) / 2.0)
+        return rng.standard_normal((n, d)) * scale / t
+
+    def test_ppc_matches_materialised_loop(self, heavy_rows):
+        want, dropped = materialised_ppc(heavy_rows, 0.5, 0.025, 1e5, NoiseSource(3))
+        counts = dropped.sum(axis=1)
+        assert len(set(counts.tolist())) > 1
+        # some row is dropped in an early round and kept in a later one
+        assert (dropped[:-1] & ~dropped[1:]).any()
+        pre = ppc(heavy_rows, 0.5, 0.025, 1e5, NoiseSource(3))
+        assert np.linalg.norm(pre.A - want) <= 1e-10 * np.linalg.norm(want)
+        assert np.linalg.norm(pre.A @ pre.A_inv - np.eye(4)) <= 1e-12
+
+    def test_pgce_matches_materialised_loop(self, heavy_rows):
+        rho, beta, kappa = 1.0, 0.05, 1e5
+        noise = NoiseSource(4)
+        a, _ = materialised_ppc(heavy_rows, rho / 2.0, beta / 2.0, kappa, noise)
+        sigma_tilde = naive_pce(heavy_rows @ a.T, rho / 2.0, beta / 2.0,
+                                TARGET_KAPPA, noise)
+        a_inv = np.linalg.inv(a)
+        want = a_inv @ sigma_tilde @ a_inv.T
+        got = pgce(heavy_rows, rho, beta, kappa, NoiseSource(4)).sigma_hat
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_frame_refuses_a_looser_clamp(self, heavy_rows):
+        # rows past the frame's loosest clamp are not in its Gram matrix, so
+        # a clamp that could keep them is refused rather than answered short
+        frame = _Frame(heavy_rows, [clamp_threshold_sq(1e3, 4, 20_000, 0.05)], 2.0)
+        with pytest.raises(InvalidParameterError):
+            naive_pce(frame, 1.0, 0.05, 1e4, NoiseSource.zero())
+
+    def test_pushed_norms_match_the_map(self):
+        # push updates the squared norms block by block; after several
+        # factors they must equal the norms of the rows mapped through M
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((3_000, 32)) * np.geomspace(1.0, 1e3, 32)
+        frame = _Frame(x, [1e300], 2.0)
+        for k in (16, 3, 30):
+            frame.push(np.linalg.qr(rng.standard_normal((32, k)))[0])
+        want = np.einsum("ij,ij->i", x @ frame.m.T, x @ frame.m.T)
+        assert np.allclose(frame.norms, want, rtol=1e-12, atol=0.0)
