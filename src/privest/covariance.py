@@ -6,7 +6,8 @@ and shrinks it (``weak_ppc``), the recursion that drives the certified
 condition bound down to 1000 (``ppc``), and the full estimator that
 preconditions, estimates in the well-conditioned frame, and conjugates back
 (``pgce``).  The rounds never transform the samples: they read one cached
-Gram matrix through the accumulated map (``_Frame``).
+Gram matrix through the accumulated map (``_Frame``), and pass over the rows
+only when a bound on the mapped norms reaches a clamp.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ ROUND_SCALE = 1.1
 # ppc's per-round shrink of the heavy subspace (each factor scales it by
 # 1/sqrt(K)).
 ROUND_K = 2.0
-# The rounds' passes over the rows go in blocks of at most this many
-# multiply-adds.  OpenBLAS runs a product that small on the calling thread;
-# splitting each whole pass over two threads made an operation 2-3x slower
-# whenever another process kept the second core busy.
+# A frame's exact norm refresh passes over the rows in blocks of at most
+# this many multiply-adds.  OpenBLAS runs a product that small on the calling
+# thread; splitting each whole pass over two threads made an operation 2-3x
+# slower whenever another process kept the second core busy.
 _BLOCK_MADDS = 2 ** 18
 
 
@@ -58,8 +59,9 @@ class Preconditioner:
     rows @ A.T.  ``ppc`` also fills the exact inverse ``A_inv``, the product
     of the factors' inverses (1/ROUND_SCALE) * (I + (sqrt(K) - 1) V V^T),
     never a dense inverse; its rounds read one cached Gram matrix through the
-    accumulated map instead of transforming the samples.  ``ppc_range`` fills
-    only A.
+    accumulated map instead of transforming the samples, and pass over the
+    rows only when a bound on their norms reaches a clamp.  ``ppc_range``
+    fills only A.
     """
 
     A: np.ndarray
@@ -115,7 +117,10 @@ class _Frame:
     Holds the rows that any later clamp could keep, their clamped second
     moment S = G/n computed once, their squared norms under M, and M with
     its exact inverse, built one factor ROUND_SCALE * (I - c V V^T) per
-    round with shrink K.  ``shape`` is the samples' shape.
+    round with shrink K.  ``shape`` is the samples' shape.  Each factor has
+    spectral norm ROUND_SCALE, so ``push`` only grows a bound on the largest
+    squared norm and leaves the norms stale; ``moment`` recomputes them only
+    for a clamp the bound passes.  A frame never pushed keeps exact norms.
     """
 
     def __init__(self, x: np.ndarray, clamps: list[float], K: float):
@@ -134,6 +139,7 @@ class _Frame:
             self.rows, self.norms = x, norms
         else:
             self.rows, self.norms = x[keep], norms[keep]
+        self.bound, self.stale = self.norms.max(initial=0.0), False
         second = (self.rows.T @ self.rows) / x.shape[0]
         self.second = (second + second.T) / 2.0
         self.m = np.eye(x.shape[1])
@@ -149,6 +155,9 @@ class _Frame:
         if self._reach(b_sq, self.rounds) > self.loosest:
             raise InvalidParameterError(
                 f"clamp {b_sq} after {self.rounds} rounds is looser than the frame's")
+        # stale norms are at most the bound, so within it they drop nothing
+        if self.stale and self.bound > b_sq:
+            self._refresh()
         drop = self.norms > b_sq
         cov = self.second
         if drop.any():
@@ -158,26 +167,27 @@ class _Frame:
             cov = self.m @ cov @ self.m.T
         return (cov + cov.T) / 2.0, self.rows.shape[0] - int(drop.sum())
 
+    def _refresh(self):
+        """Recompute the exact squared norms |M x|^2 in one blocked pass."""
+        step = max(1, _BLOCK_MADDS // self.m.size)
+        proj = np.empty((step, self.shape[1]))
+        for lo in range(0, self.rows.shape[0], step):
+            block = self.rows[lo:lo + step]
+            p = np.matmul(block, self.m.T, out=proj[:block.shape[0]])
+            np.einsum("ij,ij->i", p, p, out=self.norms[lo:lo + step])
+        self.bound, self.stale = self.norms.max(initial=0.0), False
+
     def push(self, v: np.ndarray):
         """Compose the round factor ROUND_SCALE * (I - c V V^T) onto M.
 
-        With y = M x, the new squared norm is
-        ROUND_SCALE^2 * (|y|^2 - (2c - c^2) |V^T y|^2), and 2c - c^2 = 1 - 1/K.
+        The factor's spectral norm is ROUND_SCALE, so the bound on the
+        largest squared norm grows by ROUND_SCALE^2.
         """
         K = self.K
         c = 1.0 - 1.0 / math.sqrt(K)
-        w = self.m.T @ v
-        n, d = self.rows.shape
-        step = max(1, _BLOCK_MADDS // (d * max(1, w.shape[1])))
-        sq = np.empty(n)
-        proj = np.empty((step, w.shape[1]))
-        for lo in range(0, n, step):
-            block = self.rows[lo:lo + step]
-            p = np.matmul(block, w, out=proj[:block.shape[0]])
-            np.einsum("ij,ij->i", p, p, out=sq[lo:lo + step])
-        self.norms = ROUND_SCALE ** 2 * (self.norms - (1.0 - 1.0 / K) * sq)
         self.m = ROUND_SCALE * (self.m - c * (v @ (v.T @ self.m)))
         self.m_inv = (self.m_inv + (math.sqrt(K) - 1.0) * ((self.m_inv @ v) @ v.T)) / ROUND_SCALE
+        self.bound, self.stale = self.bound * ROUND_SCALE ** 2, True
         self.rounds += 1
 
 

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .covariance import CovEstimate, ppc, pgce
+from .covariance import TARGET_KAPPA, CovEstimate, ppc, pgce
 from .errors import InvalidParameterError
 from .histogram import argmax_bucket, histogram_zcdp
 from .noise import NoiseSource
@@ -186,7 +186,11 @@ def pme(x: np.ndarray, rho: float, alpha: float, beta: float, R: float,
     n = total // 3
     if n < 2:
         raise InvalidParameterError(f"need at least 6 rows, got {total}")
-    z = (x[1:2 * n:2] - x[0:2 * n:2]) / math.sqrt(2.0)
+    # ppc reads its rows only when it runs a round (kappa above the target),
+    # so the difference pairs are built only then
+    z = x[1:2 * n:2]
+    if kappa > TARGET_KAPPA:
+        z = (z - x[0:2 * n:2]) / math.sqrt(2.0)
     pre = ppc(z, rho, beta, kappa, noise)
     y = x[2 * n:3 * n] @ pre.A.T if pre.round_log else x[2 * n:3 * n]
     inner = naive_pme(y, rho, alpha, beta, 1000.0 * R, 1000.0, noise)

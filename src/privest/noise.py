@@ -66,7 +66,16 @@ class NoiseSource:
         return low + (high - low) * u
 
     def gaussian(self, std: float, size=None):
-        """Centered Gaussian draw(s) with the given standard deviation."""
+        """Centered Gaussian draw(s) with the given standard deviation.
+
+        Like ``laplace``, this is a textbook floating-point sampler: an
+        inverse CDF of a 53-bit uniform, scaled and added to the true value.
+        Mironov (CCS 2012) showed that such samplers leak through their low
+        bits: which doubles a noised output can take depends on the value it
+        hides, so one release can tell neighbouring inputs apart.  A
+        discrete sampler (e.g. Canonne, Kamath and Steinke's discrete
+        Gaussian) would close this and remains a follow-up.
+        """
         if std < 0:
             raise InvalidParameterError(f"std must be >= 0, got {std}")
         if self.zero_noise:
@@ -75,7 +84,8 @@ class NoiseSource:
         return std * ndtri(u)
 
     def laplace(self, scale: float, size=None):
-        """Centered Laplace draw(s) via inverse CDF of a uniform."""
+        """Centered Laplace draw(s) via inverse CDF of a uniform; the
+        floating-point caveat of ``gaussian`` applies."""
         if scale < 0:
             raise InvalidParameterError(f"scale must be >= 0, got {scale}")
         if self.zero_noise:

@@ -289,13 +289,89 @@ class TestCachedFrame:
         with pytest.raises(InvalidParameterError):
             naive_pce(frame, 1.0, 0.05, 1e4, NoiseSource.zero())
 
-    def test_pushed_norms_match_the_map(self):
-        # push updates the squared norms block by block; after several
-        # factors they must equal the norms of the rows mapped through M
+    def test_refreshed_norms_match_the_map(self):
+        # push leaves the norms stale; a clamp below the bound forces one
+        # blocked refresh (12 blocks of 256 rows, the last one partial),
+        # after which they must equal the norms of the rows mapped through M
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3_000, 32)) * np.geomspace(1.0, 1e3, 32)
         frame = _Frame(x, [1e300], 2.0)
         for k in (16, 3, 30):
             frame.push(np.linalg.qr(rng.standard_normal((32, k)))[0])
+        bound = frame.bound
+        frame.moment(1.0)
         want = np.einsum("ij,ij->i", x @ frame.m.T, x @ frame.m.T)
         assert np.allclose(frame.norms, want, rtol=1e-12, atol=0.0)
+        assert bound >= frame.norms.max() and frame.bound >= frame.norms.max()
+
+
+class TestLazyNorms:
+    """The frame's norms go stale after a push and are recomputed only when
+    the bound on them reaches a clamp."""
+
+    @pytest.fixture(scope="class")
+    def late_rows(self):
+        # Gaussian rows, plus five rows on the lightest axis at 1/50 of the
+        # first clamp: no round shrinks them, so they reach the clamp late
+        n, d = 20_000, 4
+        x = gaussian_rows([1.0, 10.0, 1e3, 1e5], n, 5)
+        b0 = clamp_threshold_sq(1e5, d, n, 0.025 / 13)
+        x[:5] = 0.0
+        x[:5, 0] = np.sqrt(b0 / 50.0) * np.array([1.0, 0.9, 1.1, 0.95, 1.05])
+        return x
+
+    def test_late_drop_matches_materialised_loop(self, late_rows, monkeypatch):
+        refreshed, slack = [], []
+        refresh = _Frame._refresh
+
+        def spy(frame):
+            grown = frame.bound
+            refresh(frame)
+            refreshed.append(frame.rounds)
+            slack.append(grown - frame.bound)   # the grown bound less the exact max
+
+        monkeypatch.setattr(_Frame, "_refresh", spy)
+        want, dropped = materialised_ppc(late_rows, 0.5, 0.025, 1e5, NoiseSource(3))
+        pre = ppc(late_rows, 0.5, 0.025, 1e5, NoiseSource(3))
+        assert np.linalg.norm(pre.A - want) <= 1e-10 * np.linalg.norm(want)
+        late = np.flatnonzero(dropped.any(axis=1))
+        # the first round skips the refresh and drops nothing; rows are
+        # dropped later, each time in a round that refreshed
+        assert 0 not in refreshed and not dropped[0].any()
+        assert late.size and set(late.tolist()) <= set(refreshed)
+        assert min(slack) >= 0.0
+
+    def test_late_drop_pgce_matches_materialised_loop(self, late_rows):
+        rho, beta, kappa = 1.0, 0.05, 1e5
+        noise = NoiseSource(4)
+        a, dropped = materialised_ppc(late_rows, rho / 2.0, beta / 2.0, kappa, noise)
+        assert dropped[-1].any()
+        sigma_tilde = naive_pce(late_rows @ a.T, rho / 2.0, beta / 2.0,
+                                TARGET_KAPPA, noise)
+        a_inv = np.linalg.inv(a)
+        want = a_inv @ sigma_tilde @ a_inv.T
+        got = pgce(late_rows, rho, beta, kappa, NoiseSource(4)).sigma_hat
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_unpushed_frame_never_refreshes(self, late_rows, monkeypatch):
+        def refuse(frame):
+            raise AssertionError("an unpushed frame refreshed its norms")
+
+        monkeypatch.setattr(_Frame, "_refresh", refuse)
+        clamps = [clamp_threshold_sq(k, 4, 20_000, 0.05) for k in (1e7, 1e5, 1e3, 10.0)]
+        frame = _Frame(late_rows, clamps[:1], 1.0)
+        for b_sq in clamps:
+            cov, kept = frame.moment(b_sq)
+            want, want_kept = clamped_covariance(late_rows, b_sq)
+            assert kept == want_kept
+            assert np.linalg.norm(cov - want) <= 1e-10 * np.linalg.norm(want)
+        assert kept < late_rows.shape[0]
+
+    def test_all_nan_rows_give_psd_estimate(self):
+        # every row is outside every clamp, so the frame holds no rows
+        x = np.full((2_000, 4), np.nan)
+        sigma = pgce(x, 1.0, 0.05, 1e5, NoiseSource(6)).sigma_hat
+        assert np.isfinite(sigma).all()
+        assert np.array_equal(sigma, sigma.T)
+        evals = np.linalg.eigvalsh(sigma)
+        assert evals.min() >= -1e-9 * max(evals.max(), 1.0)
