@@ -22,7 +22,7 @@ from .covariance import (CovEstimate, Preconditioner, RoundRecord,
                          clamp_threshold_sq, _Frame, _split_from_noisy_cov, pgce)
 from .errors import (EmptyInputError, EstimationFailedError,
                      InvalidParameterError)
-from .histogram import stable_histogram_approx_dp
+from .histogram import argmax_bucket, stable_histogram_approx_dp
 from .noise import NoiseSource
 from .privacy import (PrivacyBudget, compose_approx_dp, sample_gue,
                       zcdp_to_approx_dp)
@@ -35,6 +35,10 @@ BIG_XI = BUCKET_BASE          # upper certificate factor
 # Rounds stop once the candidate interval's floor drops below 40*d^3.
 FLOOR_COEFF = 40.0
 SWEEP_SHRINK = 99.0 / 100.0
+# Norm-vote key for rows below the universe floor or with a non-finite or
+# non-positive squared norm.  No finite double lies above BUCKET_BASE**256,
+# so this key sorts, and so draws its noise, after every real bucket.
+BOTTOM_KEY = 257
 
 
 @dataclass
@@ -51,14 +55,14 @@ class TraceEstimate:
     certificate: tuple[float, float]
 
 
-def _norm_bucket(v: float, r_min: int) -> Optional[int]:
-    """Bucket index r with C^{r-1} < v <= C^r; below the universe floor or
-    not finite -> None."""
-    if not 0 < v < math.inf:
-        return None
-    lv = math.log(v) / math.log(BUCKET_BASE)
-    r = math.ceil(lv - 1e-9)  # exact powers land in their own bucket
-    return r if r >= r_min else None
+def _bucket_keys(norms: np.ndarray, r_min: int) -> np.ndarray:
+    """Bucket index r with C^{r-1} < v <= C^r for each squared norm v;
+    below the universe floor or not a positive finite value -> BOTTOM_KEY."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # exact powers land in their own bucket
+        r = np.ceil(np.log(norms) / math.log(BUCKET_BASE) - 1e-9)
+    ok = np.isfinite(norms) & (norms > 0) & (r >= r_min)
+    return np.where(ok, r, BOTTOM_KEY).astype(np.int64)
 
 
 def p_estimate_trace(x: np.ndarray, eps: float, delta: float, beta: float,
@@ -75,14 +79,10 @@ def p_estimate_trace(x: np.ndarray, eps: float, delta: float, beta: float,
     # the universe starts one bucket below the trace floor tr(Sigma) >= d
     r_min = math.ceil(math.log(d) / math.log(BUCKET_BASE) - 1e-9) - 1
     norms = np.einsum("ij,ij->i", x, x)
-    keys = [_norm_bucket(float(v), r_min) for v in norms]
-    hist = stable_histogram_approx_dp(keys, eps, delta, beta, noise)
-    best = None
-    for key, freq in hist.entries.items():
-        if key is None or freq < 0.25:
-            continue
-        if best is None or freq > hist.entries[best] or (freq == hist.entries[best] and key < best):
-            best = key
+    hist = stable_histogram_approx_dp(_bucket_keys(norms, r_min), eps, delta,
+                                      beta, noise)
+    hist.entries.pop(BOTTOM_KEY, None)
+    best = argmax_bucket(hist, 0.25)
     if best is None:
         return None
     t = BUCKET_BASE ** best
@@ -104,6 +104,10 @@ def weak_ppc_no_bound(x: np.ndarray, rho: float, beta: float,
     if x.ndim != 2 or x.shape[0] == 0:
         raise EmptyInputError("need a non-empty 2-d sample array")
     n, d = x.shape
+    if not rho > 0:
+        raise InvalidParameterError(f"rho must be > 0, got {rho}")
+    if not (0 < beta < 1):
+        raise InvalidParameterError(f"beta must be in (0,1), got {beta}")
     a, b = interval
     if a <= FLOOR_COEFF * d ** 3:
         raise InvalidParameterError(
@@ -185,7 +189,7 @@ def ppc_range(x: np.ndarray, eps: float, delta: float, beta: float,
         if dims_seen >= d:
             break
     a_total = 2.0 * a_total
-    eps_spent, delta_spent = compose_approx_dp(spent, mode="basic")
+    eps_spent, delta_spent = compose_approx_dp(spent)
     return Preconditioner(A=a_total, round_log=log,
                           budget_spent=PrivacyBudget.approx(eps_spent, delta_spent),
                           kappa_star=FLOOR_COEFF * BIG_XI * d ** 4)
@@ -209,7 +213,7 @@ def pgce_no_bound(x: np.ndarray, eps: float, delta: float, beta: float,
     sigma_hat = (sigma_hat + sigma_hat.T) / 2.0
     eps_spent, delta_spent = compose_approx_dp(
         [(pre.budget_spent.eps, pre.budget_spent.delta),
-         zcdp_to_approx_dp(rho, delta)], mode="basic")
+         zcdp_to_approx_dp(rho, delta)])
     diag = dict(inner.diagnostics)
     diag["preconditioner_rounds"] = pre.round_log
     diag["kappa_star"] = pre.kappa_star

@@ -9,26 +9,22 @@ Two mechanisms:
 * ``histogram_zcdp`` — Gaussian noise on the full count vector of a finite
   universe, rho-zCDP.
 
-Bucket keys are signed integers; ``histogram_zcdp`` counts integer key
-arrays.  The stable histogram also accepts ``None``, the out-of-universe
-sentinel (a bucket like any other for counting purposes, ordered after all
-integer keys for tie-breaking).
+Both count integer key arrays in one pass and draw their noise as one
+vector, one draw per bucket in ascending key order.  A caller that needs an
+out-of-universe bucket reserves an integer key for it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from .errors import InvalidInputError, InvalidParameterError
 from .noise import NoiseSource
-
-BucketKey = Optional[int]  # None is the bottom sentinel
 
 
 @dataclass
@@ -45,25 +41,23 @@ class HistogramResult:
     accuracy_bound: float = 0.0
 
 
-def _sort_key(k: BucketKey) -> tuple:
-    # integers in natural order, the bottom sentinel after all of them
-    return (1, 0) if k is None else (0, k)
-
-
-def stable_histogram_approx_dp(data: Sequence[BucketKey], eps: float,
-                               delta: float, beta: float,
+def stable_histogram_approx_dp(data: ArrayLike, eps: float, delta: float,
+                               beta: float,
                                noise: NoiseSource) -> HistogramResult:
     """Stability-based (eps, delta)-DP histogram over an unbounded universe.
 
-    Per-nonempty-bucket Laplace noise with scale 2/(eps*n), release threshold
-    2*ln(2n/(delta*beta))/(eps*n).  The reported frequencies are within
-    accuracy_bound = 4*ln(2n/(delta*beta))/(eps*n) of the truth for every
-    bucket simultaneously, with probability at least 1 - beta.
+    ``data`` is an integer key array.  Per-nonempty-bucket Laplace noise with
+    scale 2/(eps*n), release threshold 2*ln(2n/(delta*beta))/(eps*n).  The
+    reported frequencies are within accuracy_bound =
+    4*ln(2n/(delta*beta))/(eps*n) of the truth for every bucket
+    simultaneously, with probability at least 1 - beta.
     """
-    data = list(data)
+    data = np.asarray(data)
     n = len(data)
     if n == 0:
         raise InvalidParameterError("empty data")
+    if not np.issubdtype(data.dtype, np.integer):
+        raise InvalidInputError(f"bucket keys must be integers, got {data.dtype}")
     if eps <= 0:
         raise InvalidParameterError(f"eps must be > 0, got {eps}")
     if not (0 < delta < 1.0 / n):
@@ -76,12 +70,10 @@ def stable_histogram_approx_dp(data: Sequence[BucketKey], eps: float,
     threshold = 2.0 * math.log(2.0 * n / (delta * beta)) / (eps * n)
     bound = 2.0 * threshold
 
-    counts = Counter(data)
-    entries = {}
-    for key in sorted(counts, key=_sort_key):
-        freq = counts[key] / n + float(noise.laplace(scale))
-        if freq >= threshold:
-            entries[key] = freq
+    keys, counts = np.unique(data, return_counts=True)
+    freqs = counts / n + noise.laplace(scale, size=keys.size)
+    keep = freqs >= threshold
+    entries = dict(zip(keys[keep].tolist(), freqs[keep].tolist()))
     return HistogramResult(entries=entries, n=n, accuracy_bound=bound)
 
 
@@ -121,12 +113,11 @@ def histogram_zcdp(data: ArrayLike, universe: ArrayLike, rho: float,
     return HistogramResult(entries=entries, n=n, accuracy_bound=bound)
 
 
-def argmax_bucket(h: HistogramResult, threshold: float) -> BucketKey:
+def argmax_bucket(h: HistogramResult, threshold: float) -> Optional[int]:
     """Key of the most frequent bucket if its frequency clears the threshold.
 
-    Returns None-as-absence via raising nothing: the return value is the key,
-    or python None when no bucket qualifies.  Ties break toward the smaller
-    index; the bottom sentinel sorts after every integer.
+    Returns None when no bucket reaches ``threshold``.  Ties break toward
+    the smaller key.
     """
     return min((k for k, v in h.entries.items() if v >= threshold),
-               key=lambda k: (-h.entries[k], k is None, k or 0), default=None)
+               key=lambda k: (-h.entries[k], k), default=None)

@@ -2,16 +2,16 @@
 
 Budgets live in one of three regimes: rho-zCDP, pure epsilon-DP, and
 approximate (epsilon, delta)-DP.  zCDP budgets compose by adding rho;
-approximate budgets compose either basically (sum both parameters) or by the
-advanced rule.  The Gaussian mechanism adds noise with standard deviation
-sensitivity / sqrt(2 * rho) and satisfies rho-zCDP.
+approximate budgets compose basically (both parameters add).  The Gaussian
+mechanism adds noise with standard deviation sensitivity / sqrt(2 * rho) and
+satisfies rho-zCDP.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -98,35 +98,13 @@ def pure_dp_to_zcdp(eps: float) -> float:
     return eps * eps / 2.0
 
 
-def compose_approx_dp(budgets: Sequence[tuple[float, float]],
-                      mode: str = "basic",
-                      delta0: Optional[float] = None) -> tuple[float, float]:
-    """Compose (eps, delta) pairs.
-
-    basic: (sum eps_t, sum delta_t).
-    advanced: all eps_t must equal some eps0 <= 1; returns
-    (eps0 * sqrt(6 T ln(1/delta0)), delta0 + sum delta_t).
-    """
+def compose_approx_dp(budgets: Iterable[tuple[float, float]]) -> tuple[float, float]:
+    """Basic composition of (eps, delta) pairs: (sum eps_t, sum delta_t)."""
     budgets = list(budgets)
     for e, d in budgets:
         if e < 0 or not (0 <= d < 1):
             raise InvalidParameterError(f"bad (eps, delta) = ({e}, {d})")
-    if mode == "basic":
-        return (sum(e for e, _ in budgets), sum(d for _, d in budgets))
-    if mode != "advanced":
-        raise InvalidParameterError(f"unknown mode {mode!r}")
-    if delta0 is None or delta0 <= 0:
-        raise InvalidParameterError("advanced composition needs delta0 > 0")
-    if not budgets:
-        return (0.0, delta0)
-    eps0 = budgets[0][0]
-    if any(abs(e - eps0) > 1e-12 for e, _ in budgets):
-        raise InvalidParameterError("advanced composition needs equal eps_t")
-    if eps0 > 1:
-        raise InvalidParameterError(f"advanced composition needs eps0 <= 1, got {eps0}")
-    t = len(budgets)
-    eps = eps0 * math.sqrt(6.0 * t * math.log(1.0 / delta0))
-    return (eps, delta0 + sum(d for _, d in budgets))
+    return (sum(e for e, _ in budgets), sum(d for _, d in budgets))
 
 
 def gaussian_mechanism_vector(v: np.ndarray, delta2: float, rho: float,

@@ -1,12 +1,14 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from privest.covariance import pgce
-from privest.covariance_unbounded import (BIG_XI, BUCKET_BASE, FLOOR_COEFF,
-                                          XI, _norm_bucket, p_estimate_trace,
+from privest.covariance_unbounded import (BIG_XI, BOTTOM_KEY, BUCKET_BASE,
+                                          FLOOR_COEFF, XI, TraceEstimate,
+                                          _bucket_keys, p_estimate_trace,
                                           pgce_no_bound, ppc_range,
                                           weak_ppc_no_bound)
 from privest.errors import EstimationFailedError, InvalidParameterError
@@ -27,20 +29,63 @@ def rows_with_sq_norms(sq_norms, d=3):
     return out
 
 
+def bucket_key(v, r_min):
+    return int(_bucket_keys(np.array([v], dtype=float), r_min)[0])
+
+
 class TestNormBucket:
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=1e-6, max_value=1e18))
     def test_bucket_brackets_value(self, v):
-        r = _norm_bucket(v, r_min=-100)
+        r = bucket_key(v, r_min=-100)
         assert BUCKET_BASE ** (r - 1) * (1 - 1e-9) < v <= BUCKET_BASE ** r * (1 + 1e-9)
 
     def test_exact_powers_go_to_own_bucket(self):
         for r in range(1, 6):
-            assert _norm_bucket(BUCKET_BASE ** r, r_min=-100) == r
+            assert bucket_key(BUCKET_BASE ** r, r_min=-100) == r
 
     def test_floor_cutoff(self):
-        assert _norm_bucket(0.5, r_min=1) is None
-        assert _norm_bucket(-1.0, r_min=-100) is None
+        assert bucket_key(0.5, r_min=1) == BOTTOM_KEY
+        for v in (-1.0, 0.0, math.nan, math.inf, -math.inf):
+            assert bucket_key(v, r_min=-100) == BOTTOM_KEY
+
+    def test_every_finite_power_goes_to_own_bucket(self):
+        # log(16**r)/log(16) is inexact for some r (29 among them); the
+        # slack keeps each power in its own bucket.  The largest finite
+        # double lands in bucket 256, below the bottom key.
+        r = np.arange(-60, 256)
+        assert np.array_equal(_bucket_keys(BUCKET_BASE ** r, r_min=-100), r)
+        assert bucket_key(np.finfo(float).max, r_min=-100) == 256 < BOTTOM_KEY
+
+
+def reference_vote(x, eps, delta, beta, noise):
+    """The trace vote as a per-row loop: None is the bottom bucket, counted
+    with a Counter, sorted after every integer key, one scalar Laplace draw
+    per occurring key."""
+    n, d = x.shape
+    r_min = math.ceil(math.log(d) / math.log(BUCKET_BASE) - 1e-9) - 1
+
+    def bucket(v):
+        if not 0 < v < math.inf:
+            return None
+        r = math.ceil(math.log(v) / math.log(BUCKET_BASE) - 1e-9)
+        return r if r >= r_min else None
+
+    counts = Counter(bucket(float(v)) for v in np.einsum("ij,ij->i", x, x))
+    scale = 2.0 / (eps * n)
+    threshold = 2.0 * math.log(2.0 * n / (delta * beta)) / (eps * n)
+    best = None
+    for key in sorted(counts, key=lambda k: (k is None, k or 0)):
+        freq = counts[key] / n + float(noise.laplace(scale))
+        if key is None or freq < threshold or freq < 0.25:
+            continue
+        if best is None or freq > best[1] or (freq == best[1] and key < best[0]):
+            best = (key, freq)
+    if best is None:
+        return None
+    t = BUCKET_BASE ** best[0]
+    return TraceEstimate(T=t, C=BUCKET_BASE, r=best[0],
+                         certificate=(XI * t / d, BIG_XI * d * t))
 
 
 class TestPEstimateTrace:
@@ -63,6 +108,27 @@ class TestPEstimateTrace:
         x = rows_with_sq_norms(sq)
         est = p_estimate_trace(x, 1.0, 1e-3, 0.05, NoiseSource.zero())
         assert est is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=5),
+           st.integers(min_value=20, max_value=300),
+           st.floats(min_value=-3.0, max_value=12.0),
+           st.lists(st.sampled_from([math.nan, math.inf, -math.inf, 0.0,
+                                     1e300, 1e-300, 4.0 ** 3]), max_size=30),
+           st.floats(min_value=0.5, max_value=200.0),
+           st.integers(min_value=0, max_value=2**32))
+    def test_matches_per_row_vote(self, d, n, log_scale, special, eps, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, d)) * 10.0 ** log_scale
+        rows = rng.choice(n, size=min(len(special), n), replace=False)
+        x[rows, 0] = special[:len(rows)]
+        delta, beta = 0.5 / n, 0.05
+        got_noise, want_noise = NoiseSource(seed), NoiseSource(seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = p_estimate_trace(x, eps, delta, beta, got_noise)
+            want = reference_vote(x, eps, delta, beta, want_noise)
+        assert got == want
+        assert got_noise.laplace(1.0) == want_noise.laplace(1.0)
 
     def test_identity_cov_monte_carlo(self):
         # Sigma = I, d=16, n=5000: the trace 16 lies in [T/C, C*T]
@@ -91,6 +157,16 @@ class TestWeakPpcNoBound:
         with pytest.raises(InvalidParameterError):
             weak_ppc_no_bound(np.ones((10, d)), 1.0, 0.05,
                               (4 * floor, 2 * floor), NoiseSource(0))
+
+    @pytest.mark.parametrize("rho, beta", [(0.0, 0.05), (-1.0, 0.05),
+                                           (math.nan, 0.05), (1.0, 0.0),
+                                           (1.0, 1.0), (1.0, 1.5)])
+    def test_bad_rho_or_beta(self, rho, beta):
+        d = 2
+        floor = FLOOR_COEFF * d ** 3
+        with pytest.raises(InvalidParameterError):
+            weak_ppc_no_bound(np.ones((10, d)), rho, beta,
+                              (2 * floor, 4 * floor), NoiseSource(0))
 
     def test_zero_noise_detects_top_direction(self):
         d = 2

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -47,11 +48,34 @@ class TestStableHistogram:
             good += err <= h.accuracy_bound
         assert good >= 95
 
-    def test_bottom_sentinel_allowed(self):
-        h = stable_histogram_approx_dp([None] * 100 + [1] * 100, 1.0, 1e-3,
-                                       0.05, NoiseSource.zero())
-        assert h.entries[None] == pytest.approx(0.5)
-        assert h.entries[1] == pytest.approx(0.5)
+    @pytest.mark.parametrize("data", [[None] * 100 + [1] * 100, [None],
+                                      [1.0, 2.0], [True, False]])
+    def test_non_integer_keys_rejected(self, data):
+        with pytest.raises(InvalidInputError):
+            stable_histogram_approx_dp(data, 1.0, 1e-3, 0.05,
+                                       NoiseSource.zero())
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(min_value=-5, max_value=300), min_size=1,
+                    max_size=60),
+           st.integers(min_value=0, max_value=2**32))
+    def test_matches_counting_loop(self, data, seed):
+        # reference: count with a Counter, one scalar Laplace draw per
+        # occurring key in ascending order, release at the threshold
+        n, eps, delta, beta = len(data), 5.0, 0.5 / len(data), 0.05
+        h = stable_histogram_approx_dp(np.array(data), eps, delta, beta,
+                                       NoiseSource(seed))
+        ref_noise = NoiseSource(seed)
+        scale = 2.0 / (eps * n)
+        threshold = 2.0 * math.log(2.0 * n / (delta * beta)) / (eps * n)
+        counts = Counter(data)
+        want = {}
+        for k in sorted(counts):
+            freq = counts[k] / n + float(ref_noise.laplace(scale))
+            if freq >= threshold:
+                want[k] = freq
+        assert h.entries == want
+        assert list(h.entries) == list(want)
 
 
 class TestHistogramZcdp:
@@ -146,10 +170,6 @@ class TestArgmaxBucket:
 
     def test_empty(self):
         assert argmax_bucket(HistogramResult(entries={}, n=1), 0.1) is None
-
-    def test_sentinel_sorts_last(self):
-        h = HistogramResult(entries={None: 0.5, 3: 0.5}, n=10)
-        assert argmax_bucket(h, 0.25) == 3
 
     @settings(max_examples=50, deadline=None)
     @given(st.dictionaries(st.integers(min_value=-50, max_value=50),

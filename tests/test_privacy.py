@@ -86,20 +86,10 @@ class TestComposeApprox:
             pytest.approx((1.5, 2e-6))
         assert compose_approx_dp([]) == (0.0, 0.0)
 
-    def test_advanced(self):
-        eps, delta = compose_approx_dp([(0.5, 0.0)] * 6, mode="advanced",
-                                       delta0=math.exp(-1))
-        assert eps == pytest.approx(3.0)
-        assert delta == pytest.approx(math.exp(-1))
-
-    def test_advanced_requires_small_eps(self):
+    @pytest.mark.parametrize("pair", [(-0.1, 0.0), (1.0, -1e-9), (1.0, 1.0)])
+    def test_rejects_bad_pair(self, pair):
         with pytest.raises(InvalidParameterError):
-            compose_approx_dp([(1.5, 0.0)] * 3, mode="advanced", delta0=0.01)
-
-    def test_advanced_requires_equal_eps(self):
-        with pytest.raises(InvalidParameterError):
-            compose_approx_dp([(0.5, 0.0), (0.6, 0.0)], mode="advanced",
-                              delta0=0.01)
+            compose_approx_dp([(1.0, 1e-6), pair])
 
 
 class TestGaussianMechanismVector:
