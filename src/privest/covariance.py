@@ -5,9 +5,11 @@ one-step preconditioner that privately finds the large-eigenvalue subspace
 and shrinks it (``weak_ppc``), the recursion that drives the certified
 condition bound down to 1000 (``ppc``), and the full estimator that
 preconditions, estimates in the well-conditioned frame, and conjugates back
-(``pgce``).  The rounds never transform the samples: they read one cached
-Gram matrix through the accumulated map (``_Frame``), and pass over the rows
-only when a bound on the mapped norms reaches a clamp.
+(``pgce``).  No estimator transforms the samples: every round, and the
+final estimate, reads one cached Gram matrix through the accumulated map
+(``_Frame``), passes over the rows only when a bound on the mapped norms
+reaches a clamp, and conjugates back through the map's exact inverse in
+factored form.  ``covariance_unbounded`` runs its rounds on the same frame.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EmptyInputError, InvalidParameterError
-from .linalg import project_psd, sym_eigh
+from .linalg import project_psd, psd_factor, sym_eigh
 from .noise import NoiseSource
 from .privacy import PrivacyBudget, gaussian_mechanism_symmetric
 
@@ -54,21 +56,17 @@ class RoundRecord:
 class Preconditioner:
     """Accumulated preconditioning matrix A with per-round certificates.
 
-    Each round's factor is symmetric of the form (1/sqrt(K)) * P_V + P_Vperp
-    (times the round scale); the accumulated product is applied to samples as
-    rows @ A.T.  ``ppc`` also fills the exact inverse ``A_inv``, the product
-    of the factors' inverses (1/ROUND_SCALE) * (I + (sqrt(K) - 1) V V^T),
-    never a dense inverse; its rounds read one cached Gram matrix through the
-    accumulated map instead of transforming the samples, and pass over the
-    rows only when a bound on their norms reaches a clamp.  ``ppc_range``
-    fills only A.
+    Each round's factor is scale * ((1/sqrt(K)) P_V + P_Vperp), symmetric;
+    A is their product (``ppc`` and ``ppc_range`` alike), meant for samples
+    as rows @ A.T.  ``A_inv`` is the product of the factors' exact inverses
+    (1/scale) * (I + (sqrt(K) - 1) V V^T), never a dense inverse.
     """
 
     A: np.ndarray
+    A_inv: np.ndarray
     round_log: list = field(default_factory=list)
     budget_spent: Optional[PrivacyBudget] = None
     kappa_star: Optional[float] = None
-    A_inv: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -85,23 +83,28 @@ def clamp_threshold_sq(kappa: float, d: int, n: int, beta: float) -> float:
 
 
 def _validate_common(x, rho: float, beta: float, kappa: float):
+    """Check the parameters; return ``x`` as a float array unless a frame."""
+    if not isinstance(x, _Frame):
+        x = np.asarray(x, dtype=float)
     if len(x.shape) != 2:
         raise InvalidParameterError(f"samples must be 2-d, got shape {x.shape}")
     if x.shape[0] == 0:
         raise EmptyInputError("no samples")
-    if rho <= 0:
+    if not rho > 0:
         raise InvalidParameterError(f"rho must be > 0, got {rho}")
     if not (0 < beta < 1):
         raise InvalidParameterError(f"beta must be in (0,1), got {beta}")
-    if kappa < 1:
+    if not kappa >= 1:
         raise InvalidParameterError(f"kappa must be >= 1, got {kappa}")
+    return x
 
 
 def clamped_covariance(x: np.ndarray, b_sq: float) -> tuple[np.ndarray, int]:
     """(1/n) sum of X_i X_i^T over rows with ||X_i||^2 <= b_sq.
 
     The divisor stays n (not |S|), matching the sensitivity analysis.
-    Returns the matrix and the number of kept rows.
+    Returns the matrix and the number of kept rows.  The estimators read a
+    ``_Frame`` instead; this is the plain reference the tests compare with.
     """
     n = x.shape[0]
     norms = np.einsum("ij,ij->i", x, x)
@@ -114,47 +117,82 @@ def clamped_covariance(x: np.ndarray, b_sq: float) -> tuple[np.ndarray, int]:
 class _Frame:
     """Samples seen through an accumulated map M, never transformed.
 
-    Holds the rows that any later clamp could keep, their clamped second
-    moment S = G/n computed once, their squared norms under M, and M with
-    its exact inverse, built one factor ROUND_SCALE * (I - c V V^T) per
-    round with shrink K.  ``shape`` is the samples' shape.  Each factor has
-    spectral norm ROUND_SCALE, so ``push`` only grows a bound on the largest
-    squared norm and leaves the norms stale; ``moment`` recomputes them only
-    for a clamp the bound passes.  A frame never pushed keeps exact norms.
+    Holds the rows ``cover`` has admitted (those some announced clamp could
+    keep), their clamped second moment S = G/n, their squared norms under
+    M, the indices ``out`` of the other rows, and M with its exact inverse,
+    built one factor scale * (I - c V V^T) per ``push``.  ``shape`` is the
+    samples' shape.  A factor has spectral norm scale, so ``push`` only
+    grows a bound on the largest squared norm and leaves the norms stale;
+    ``moment`` recomputes them only for a clamp the bound passes.  A frame
+    never pushed keeps exact norms.
     """
 
-    def __init__(self, x: np.ndarray, clamps: list[float], K: float):
-        """``clamps[t]`` is the squared-norm clamp applied after t factors
-        (ppc's rounds, then pgce's final estimate)."""
-        self.shape = x.shape
-        self.K = K
+    def __init__(self, x: np.ndarray, clamps: list[float]):
+        """``clamps[t]`` is a squared-norm clamp applied after t of ppc's
+        factors (its rounds, then pgce's final estimate)."""
+        self.x, self.shape = x, x.shape
         self.rounds = 0
-        # Each factor shrinks a norm by at most ROUND_SCALE/sqrt(K), so a
-        # row past this bound is dropped by every clamp.  Keeping it out of
-        # S stops a huge finite row from cancelling the rest when dropped.
-        self.loosest = max(self._reach(b, t) for t, b in enumerate(clamps))
+        self.m = np.eye(x.shape[1])
+        self.m_inv = np.eye(x.shape[1])
+        # a bound on |M^{-1}|_2^2, so |M x|^2 >= |x|^2 / inv_norm_sq
+        self.inv_norm_sq = 1.0
+        # Rows past the reach are dropped by every clamp.  Keeping them out
+        # of S stops a huge finite row from cancelling the rest when dropped.
+        self.reach = self._reach(clamps)
         norms = np.einsum("ij,ij->i", x, x)
-        keep = norms <= self.loosest
+        keep = norms <= self.reach
         if keep.all():
             self.rows, self.norms = x, norms
+            self.out, self.out_norms = np.empty(0, dtype=np.intp), np.empty(0)
         else:
             self.rows, self.norms = x[keep], norms[keep]
+            self.out = np.flatnonzero(~keep)
+            self.out_norms = norms[self.out]
         self.bound, self.stale = self.norms.max(initial=0.0), False
         second = (self.rows.T @ self.rows) / x.shape[0]
         self.second = (second + second.T) / 2.0
-        self.m = np.eye(x.shape[1])
-        self.m_inv = np.eye(x.shape[1])
 
-    def _reach(self, b_sq: float, t: int) -> float:
-        """The largest squared norm, before any factor, that the clamp b_sq
-        applied after t factors can keep."""
-        return b_sq * (self.K / ROUND_SCALE ** 2) ** t
+    def _reach(self, clamps: list[float]) -> float:
+        """The largest squared norm, before any factor, that ``clamps[t]``
+        applied after t more of ppc's factors can keep; each such factor
+        multiplies |M^{-1}|^2 by at most ROUND_K / ROUND_SCALE^2, and
+        ``push`` grows ``inv_norm_sq`` by that same product."""
+        reach, inv_sq = -math.inf, self.inv_norm_sq
+        for b_sq in clamps:
+            reach = max(reach, b_sq * inv_sq)
+            inv_sq *= ROUND_K / ROUND_SCALE ** 2
+        return reach
+
+    def cover(self, clamps: list[float]):
+        """Extend S to every row that one of ``clamps`` (as in ``__init__``,
+        counted from the current map) could keep, adding only those rows."""
+        self.inv_norm_sq = min(self.inv_norm_sq, np.linalg.norm(self.m_inv, 2) ** 2)
+        reach = self._reach(clamps)
+        if reach <= self.reach:
+            return
+        self.reach = reach
+        add = self.out_norms <= reach
+        new = self.x[self.out[add]]
+        second = (new.T @ new) / self.shape[0]
+        self.second = self.second + (second + second.T) / 2.0
+        norms = self._mapped_sq(new) if self.rounds else self.out_norms[add]
+        self.rows = np.concatenate([self.rows, new])
+        self.norms = np.concatenate([self.norms, norms])
+        self.bound = max(self.bound, norms.max(initial=0.0))
+        self.out, self.out_norms = self.out[~add], self.out_norms[~add]
+
+    def _mapped_sq(self, rows: np.ndarray) -> np.ndarray:
+        """Exact squared norms |M x|^2 of ``rows`` (NaN or inf for a
+        non-finite row).  Before any factor, ``out_norms`` holds them."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            mapped = rows @ self.m.T
+            return np.einsum("ij,ij->i", mapped, mapped)
 
     def moment(self, b_sq: float) -> tuple[np.ndarray, int]:
         """clamped_covariance of the mapped rows: M (S - dropped x x^T / n) M^T."""
-        if self._reach(b_sq, self.rounds) > self.loosest:
+        if b_sq * self.inv_norm_sq > self.reach:
             raise InvalidParameterError(
-                f"clamp {b_sq} after {self.rounds} rounds is looser than the frame's")
+                f"clamp {b_sq} after {self.rounds} factors is looser than the frame covers")
         # stale norms are at most the bound, so within it they drop nothing
         if self.stale and self.bound > b_sq:
             self._refresh()
@@ -167,6 +205,13 @@ class _Frame:
             cov = self.m @ cov @ self.m.T
         return (cov + cov.T) / 2.0, self.rows.shape[0] - int(drop.sum())
 
+    def sq_norms(self) -> np.ndarray:
+        """Exact squared norms |M x|^2 of every row, the rows in S first."""
+        if self.stale:
+            self._refresh()
+        out = self._mapped_sq(self.x[self.out]) if self.rounds else self.out_norms
+        return np.concatenate([self.norms, out])
+
     def _refresh(self):
         """Recompute the exact squared norms |M x|^2 in one blocked pass."""
         step = max(1, _BLOCK_MADDS // self.m.size)
@@ -177,18 +222,38 @@ class _Frame:
             np.einsum("ij,ij->i", p, p, out=self.norms[lo:lo + step])
         self.bound, self.stale = self.norms.max(initial=0.0), False
 
-    def push(self, v: np.ndarray):
-        """Compose the round factor ROUND_SCALE * (I - c V V^T) onto M.
+    def push(self, v: np.ndarray, K: float, scale: float):
+        """Compose the factor scale * (I - (1 - 1/sqrt(K)) V V^T), K >= 1,
+        onto M, and its inverse (1/scale) * (I + (sqrt(K) - 1) V V^T) onto
+        M^{-1}.
 
-        The factor's spectral norm is ROUND_SCALE, so the bound on the
-        largest squared norm grows by ROUND_SCALE^2.
+        The factor's spectral norm is scale, so the bound on the largest
+        squared norm grows by scale^2; its inverse's is sqrt(K)/scale.
         """
-        K = self.K
         c = 1.0 - 1.0 / math.sqrt(K)
-        self.m = ROUND_SCALE * (self.m - c * (v @ (v.T @ self.m)))
-        self.m_inv = (self.m_inv + (math.sqrt(K) - 1.0) * ((self.m_inv @ v) @ v.T)) / ROUND_SCALE
-        self.bound, self.stale = self.bound * ROUND_SCALE ** 2, True
+        self.m = scale * (self.m - c * (v @ (v.T @ self.m)))
+        self.m_inv = (self.m_inv + (math.sqrt(K) - 1.0) * ((self.m_inv @ v) @ v.T)) / scale
+        self.inv_norm_sq *= K / scale ** 2
+        self.bound, self.stale = self.bound * scale ** 2, True
         self.rounds += 1
+
+
+def _noised_moment(x, rho: float, beta: float, kappa: float, noise: NoiseSource,
+                   diagnostics: Optional[dict]) -> np.ndarray:
+    """naive_pce before its PSD projection."""
+    x = _validate_common(x, rho, beta, kappa)
+    n, d = x.shape
+    b_sq = clamp_threshold_sq(kappa, d, n, beta)
+    frame = x if isinstance(x, _Frame) else _Frame(x, [b_sq])
+    cov, kept = frame.moment(b_sq)
+    delta_f = 2.0 * b_sq / n
+    noisy = gaussian_mechanism_symmetric(cov, delta_f, rho, noise)
+    if diagnostics is not None:
+        diagnostics["kept"] = kept
+        diagnostics["dropped"] = n - kept
+        diagnostics["clamp_threshold_sq"] = b_sq
+        diagnostics["noise_sigma"] = delta_f / math.sqrt(2.0 * rho)
+    return noisy
 
 
 def naive_pce(x, rho: float, beta: float, kappa: float,
@@ -198,26 +263,9 @@ def naive_pce(x, rho: float, beta: float, kappa: float,
     Dropping rows over the clamp threshold bounds the Frobenius sensitivity
     of the average by 2*B^2/n, which calibrates the symmetric Gaussian noise.
     The PSD projection can only improve the estimate.  ``x`` is an array of
-    samples or a ``_Frame`` of them.
+    samples or a ``_Frame`` of them, which must cover the clamp.
     """
-    if not isinstance(x, _Frame):
-        x = np.asarray(x, dtype=float)
-    _validate_common(x, rho, beta, kappa)
-    n, d = x.shape
-    b_sq = clamp_threshold_sq(kappa, d, n, beta)
-    if isinstance(x, _Frame):
-        cov, kept = x.moment(b_sq)
-    else:
-        cov, kept = clamped_covariance(x, b_sq)
-    delta_f = 2.0 * b_sq / n
-    noisy = gaussian_mechanism_symmetric(cov, delta_f, rho, noise)
-    out = project_psd(noisy)
-    if diagnostics is not None:
-        diagnostics["kept"] = kept
-        diagnostics["dropped"] = n - kept
-        diagnostics["clamp_threshold_sq"] = b_sq
-        diagnostics["noise_sigma"] = delta_f / math.sqrt(2.0 * rho)
-    return out
+    return project_psd(_noised_moment(x, rho, beta, kappa, noise, diagnostics))
 
 
 def _split_from_noisy_cov(z: np.ndarray, kappa: float, K: float):
@@ -245,9 +293,9 @@ def weak_ppc(x, rho: float, beta: float, kappa: float, K: float,
     and shrinks that subspace by 1/sqrt(K).  Returns (V, A); V may be empty,
     in which case A = I.  ``x`` is an array of samples or a ``_Frame``.
     """
-    if kappa <= 1:
+    if not kappa > 1:
         raise InvalidParameterError(f"kappa must be > 1, got {kappa}")
-    if K < 1:
+    if not K >= 1:
         raise InvalidParameterError(f"K must be >= 1, got {K}")
     z = naive_pce(x, rho, beta, kappa, noise)
     return _split_from_noisy_cov(z, kappa, K)
@@ -266,57 +314,60 @@ def _round_clamps(n: int, d: int, beta: float, kappa: float) -> tuple[list, list
 
 
 def ppc(x, rho: float, beta: float, kappa: float,
-        noise: NoiseSource, K: float = ROUND_K) -> Preconditioner:
+        noise: NoiseSource) -> Preconditioner:
     """Recursive private preconditioning down to the target bound.
 
     Runs T = ceil(ln(kappa/1000) / ln(1/0.7)) rounds (0 when kappa <= 1000),
     splitting rho and beta evenly.  Each round shrinks the certified bound by
     0.7 while the accumulated A keeps I <= A Sigma A^T <= 1000 I w.h.p.
-    ``x`` is an array of samples or a fresh ``_Frame`` of them, which the
-    rounds advance with the frame's own K; with no rounds, no sample is read.
+    ``x`` is an array of samples or a ``_Frame`` of them covering the
+    rounds' clamps; the rounds push their factors onto it, and A is then the
+    frame's whole map.  With no rounds, no sample is read.
     """
-    if not isinstance(x, _Frame):
-        x = np.asarray(x, dtype=float)
-    _validate_common(x, rho, beta, kappa)
+    x = _validate_common(x, rho, beta, kappa)
     n, d = x.shape
     kaps, clamps = _round_clamps(n, d, beta, kappa)
     t_rounds = len(kaps)
     if not t_rounds:
         return Preconditioner(A=np.eye(d), A_inv=np.eye(d),
                               budget_spent=PrivacyBudget.zcdp(0.0))
-    frame = x if isinstance(x, _Frame) else _Frame(x, clamps, K)
-    K = frame.K
+    frame = x if isinstance(x, _Frame) else _Frame(x, clamps)
     log: list[RoundRecord] = []
     for kap in kaps:
-        v, _ = weak_ppc(frame, rho / t_rounds, beta / t_rounds, kap, K, noise)
-        frame.push(v)
+        v, _ = weak_ppc(frame, rho / t_rounds, beta / t_rounds, kap, ROUND_K, noise)
+        frame.push(v, ROUND_K, ROUND_SCALE)
         log.append(RoundRecord(kappa=kap, threshold=kap / 2.0,
                                subspace_dim=int(v.shape[1]),
-                               rho=rho / t_rounds, K=K))
+                               rho=rho / t_rounds, K=ROUND_K))
     return Preconditioner(A=frame.m, A_inv=frame.m_inv, round_log=log,
                           budget_spent=PrivacyBudget.zcdp(rho))
 
 
-def pgce(x: np.ndarray, rho: float, beta: float, kappa: float,
+def pgce(x, rho: float, beta: float, kappa: float,
          noise: NoiseSource) -> CovEstimate:
     """Precondition, estimate in the well-conditioned frame, conjugate back.
 
     Half the budget preconditions; the other half runs naive_pce on the
     transformed samples at the tighter of (kappa, 1000) — after
     preconditioning the transformed covariance is certified below both.
-    Both halves read one ``_Frame``, and the estimate is conjugated back
-    through the preconditioner's exact inverse.
+    Both halves read one ``_Frame``: a new one over the array ``x``, or
+    ``x`` itself (already holding ``ppc_range``'s map), extended to cover
+    the clamps.  The noised estimate U diag(lambda) U^T is conjugated back
+    through the map's exact inverse as B B^T with B = M^{-1} U
+    diag(sqrt(max(lambda, 0))), so it is PSD by construction.
     """
-    x = np.asarray(x, dtype=float)
-    _validate_common(x, rho, beta, kappa)
+    x = _validate_common(x, rho, beta, kappa)
     n, d = x.shape
     kappa_eff = min(kappa, TARGET_KAPPA)
     _, clamps = _round_clamps(n, d, beta / 2.0, kappa)
-    frame = _Frame(x, clamps + [clamp_threshold_sq(kappa_eff, d, n, beta / 2.0)], ROUND_K)
+    clamps.append(clamp_threshold_sq(kappa_eff, d, n, beta / 2.0))
+    frame = x if isinstance(x, _Frame) else _Frame(x, clamps)
+    frame.cover(clamps)
     pre = ppc(frame, rho / 2.0, beta / 2.0, kappa, noise)
     diag: dict = {}
-    sigma_tilde = naive_pce(frame, rho / 2.0, beta / 2.0, kappa_eff, noise, diagnostics=diag)
-    sigma_hat = pre.A_inv @ sigma_tilde @ pre.A_inv.T
+    noisy = _noised_moment(frame, rho / 2.0, beta / 2.0, kappa_eff, noise, diag)
+    b = frame.m_inv @ psd_factor(noisy)
+    sigma_hat = b @ b.T
     sigma_hat = (sigma_hat + sigma_hat.T) / 2.0
     diag["rounds"] = pre.round_log
     diag["kappa_eff"] = kappa_eff

@@ -5,6 +5,10 @@ over geometric buckets of sample norms localizes the trace to a factor-C
 interval; that interval drives a downward sweep of one-step preconditioning
 attempts; up to d such rounds reduce the spectrum into a certified
 O(d^4) band, after which the bounded-condition-number estimator applies.
+The whole pipeline runs on one ``covariance._Frame`` over the original
+rows: the votes read its mapped norms, the sweeps its cached second moment,
+each round pushes its factor onto its map, and ``pgce`` finishes on the
+same frame, so no sample is transformed and no inverse is taken densely.
 
 Privacy here is approximate (eps, delta)-DP: the norm vote uses the stable
 histogram, and the zCDP rounds are converted and composed per run.
@@ -65,22 +69,32 @@ def _bucket_keys(norms: np.ndarray, r_min: int) -> np.ndarray:
     return np.where(ok, r, BOTTOM_KEY).astype(np.int64)
 
 
-def p_estimate_trace(x: np.ndarray, eps: float, delta: float, beta: float,
-                     noise: NoiseSource) -> Optional[TraceEstimate]:
-    """Vote on the geometric bucket holding the typical squared sample norm.
-
-    Returns None (the bottom outcome) when no bucket collects a quarter of
-    the mass; callers must treat that as a privacy-preserving abort.
-    """
+def _frame(x) -> _Frame:
+    """``x`` itself when it is a frame; otherwise a frame over the non-empty
+    2-d sample array ``x`` that covers no clamp yet."""
+    if isinstance(x, _Frame):
+        return x
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
         raise EmptyInputError("need a non-empty 2-d sample array")
-    d = x.shape[1]
+    return _Frame(x, [])
+
+
+def p_estimate_trace(x, eps: float, delta: float, beta: float,
+                     noise: NoiseSource) -> Optional[TraceEstimate]:
+    """Vote on the geometric bucket holding the typical squared sample norm.
+
+    ``x`` is an array of samples or a ``_Frame``, whose rows vote with their
+    exact squared norms under its map, one key per row.  Returns None (the
+    bottom outcome) when no bucket collects a quarter of the mass; callers
+    must treat that as a privacy-preserving abort.
+    """
+    frame = _frame(x)
+    d = frame.shape[1]
     # the universe starts one bucket below the trace floor tr(Sigma) >= d
     r_min = math.ceil(math.log(d) / math.log(BUCKET_BASE) - 1e-9) - 1
-    norms = np.einsum("ij,ij->i", x, x)
-    hist = stable_histogram_approx_dp(_bucket_keys(norms, r_min), eps, delta,
-                                      beta, noise)
+    hist = stable_histogram_approx_dp(_bucket_keys(frame.sq_norms(), r_min),
+                                      eps, delta, beta, noise)
     hist.entries.pop(BOTTOM_KEY, None)
     best = argmax_bucket(hist, 0.25)
     if best is None:
@@ -90,40 +104,35 @@ def p_estimate_trace(x: np.ndarray, eps: float, delta: float, beta: float,
                          certificate=(XI * t / d, BIG_XI * d * t))
 
 
-def weak_ppc_no_bound(x: np.ndarray, rho: float, beta: float,
+def weak_ppc_no_bound(x, rho: float, beta: float,
                       interval: tuple[float, float],
-                      noise: NoiseSource) -> Optional[tuple[np.ndarray, np.ndarray]]:
+                      noise: NoiseSource) -> Optional[tuple]:
     """Sweep candidate bounds downward until a heavy subspace shows up.
 
     Tries kappa = b, b*(99/100), ... while kappa > a/2, each attempt a
     one-step preconditioning with K = kappa/d^2 and an even share of the
-    budget sized for the worst-case sweep length.  Returns the first
-    (V, A) with non-empty V, or None if the sweep exhausts.
+    budget sized for the worst-case sweep length.  Every attempt reads the
+    same cached second moment through the frame's map, and only the noise
+    is redrawn.  Returns the first (V, A) with non-empty V for a sample
+    array, (V, K) for a ``_Frame`` (whose caller pushes the factor), or
+    None if the sweep exhausts.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise EmptyInputError("need a non-empty 2-d sample array")
-    n, d = x.shape
+    frame = _frame(x)
+    n, d = frame.shape
     if not rho > 0:
         raise InvalidParameterError(f"rho must be > 0, got {rho}")
     if not (0 < beta < 1):
         raise InvalidParameterError(f"beta must be in (0,1), got {beta}")
     a, b = interval
-    if a <= FLOOR_COEFF * d ** 3:
+    if not a > FLOOR_COEFF * d ** 3:
         raise InvalidParameterError(
             f"interval floor {a} must exceed {FLOOR_COEFF * d**3}")
-    if b < a:
+    if not b >= a:
         raise InvalidParameterError(f"empty interval [{a}, {b}]")
     steps = math.ceil(math.log(2.0 * b / a) / math.log(1.0 / SWEEP_SHRINK))
     rho_step = rho / steps
     beta_step = beta / steps
-
-    # The sweep re-examines the same samples many times; the empirical
-    # second moment is cached and only the clamp mask is rechecked, since
-    # only the noise must be redrawn per attempt.  The cache holds only the
-    # rows within the loosest clamp (every attempt drops the others; the
-    # divisor stays n), so a non-finite or overflowing row never enters it.
-    frame = _Frame(x, [clamp_threshold_sq(b, d, n, beta_step)], 1.0)
+    frame.cover([clamp_threshold_sq(b, d, n, beta_step)])
 
     kappa = b
     while kappa > a / 2.0:
@@ -133,25 +142,24 @@ def weak_ppc_no_bound(x: np.ndarray, rho: float, beta: float,
         z = cov + sample_gue(d, sigma, noise)
         v, a_mat = _split_from_noisy_cov(z, kappa, K=kappa / d ** 2)
         if v.shape[1] > 0:
-            return v, a_mat
+            return (v, kappa / d ** 2) if frame is x else (v, a_mat)
         kappa *= SWEEP_SHRINK
     return None
 
 
-def ppc_range(x: np.ndarray, eps: float, delta: float, beta: float,
+def ppc_range(x, eps: float, delta: float, beta: float,
               noise: NoiseSource) -> Preconditioner:
     """Range-driven preconditioning without a condition-number bound.
 
-    Each round votes on the trace of the current (transformed) samples,
+    Each round votes on the trace of the samples under the current map,
     converts the vote into a spectral interval, and runs the sweeping
     one-step preconditioner; rounds stop when the interval floor falls
     below 40*d^3, certifying the spectrum under kappa* = 40*Xi*d^4 for the
-    returned A = 2 * (product of round factors).
+    returned A = 2 * (product of round factors).  ``x`` is an array of
+    samples or a ``_Frame``, onto which the factors are pushed.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise EmptyInputError("need a non-empty 2-d sample array")
-    d = x.shape[1]
+    frame = _frame(x)
+    d = frame.shape[1]
     if not (0 < delta < 1):
         raise InvalidParameterError(f"delta must be in (0,1), got {delta}")
     eps_r = eps / math.sqrt(d * math.log(1.0 / delta))
@@ -159,13 +167,11 @@ def ppc_range(x: np.ndarray, eps: float, delta: float, beta: float,
     rho_r = eps_r ** 2 / math.log(1.0 / delta)
     beta_r = beta / d
 
-    a_total = np.eye(d)
     log: list[RoundRecord] = []
     spent: list[tuple[float, float]] = []
-    xt = x
     dims_seen = 0
     for _ in range(d):
-        est = p_estimate_trace(xt, eps_r, delta_r, beta_r, noise)
+        est = p_estimate_trace(frame, eps_r, delta_r, beta_r, noise)
         spent.append((eps_r, delta_r))
         if est is None:
             raise EstimationFailedError(
@@ -174,49 +180,43 @@ def ppc_range(x: np.ndarray, eps: float, delta: float, beta: float,
         b_j = BIG_XI * d * est.T
         if a_j < FLOOR_COEFF * d ** 3:
             break
-        out = weak_ppc_no_bound(xt, rho_r, beta_r, (a_j, b_j), noise)
+        out = weak_ppc_no_bound(frame, rho_r, beta_r, (a_j, b_j), noise)
         spent.append(zcdp_to_approx_dp(rho_r, delta_r))
         if out is None:
             raise EstimationFailedError(
                 "no heavy subspace found in the certified interval")
-        v, a_mat = out
-        xt = xt @ a_mat.T
-        a_total = a_mat @ a_total
+        v, k = out
+        frame.push(v, k, 1.0)
         dims_seen += v.shape[1]
         log.append(RoundRecord(kappa=b_j, threshold=a_j,
-                               subspace_dim=int(v.shape[1]), rho=rho_r,
-                               K=float("nan")))
+                               subspace_dim=int(v.shape[1]), rho=rho_r, K=k))
         if dims_seen >= d:
             break
-    a_total = 2.0 * a_total
+    frame.push(np.zeros((d, 0)), 1.0, 2.0)
     eps_spent, delta_spent = compose_approx_dp(spent)
-    return Preconditioner(A=a_total, round_log=log,
+    return Preconditioner(A=frame.m, A_inv=frame.m_inv, round_log=log,
                           budget_spent=PrivacyBudget.approx(eps_spent, delta_spent),
                           kappa_star=FLOOR_COEFF * BIG_XI * d ** 4)
 
 
-def pgce_no_bound(x: np.ndarray, eps: float, delta: float, beta: float,
+def pgce_no_bound(x, eps: float, delta: float, beta: float,
                   noise: NoiseSource) -> CovEstimate:
     """Full covariance estimation with no condition-number bound.
 
     Preconditions via ppc_range, then runs the bounded-condition estimator
-    at its advertised kappa* with the zCDP share rho = eps^2/(8*ln(1/delta)),
-    and conjugates the estimate back.
+    at its advertised kappa* with the zCDP share rho = eps^2/(8*ln(1/delta))
+    on the same frame, which conjugates the estimate back.
     """
-    x = np.asarray(x, dtype=float)
-    pre = ppc_range(x, eps, delta, beta, noise)
-    y = x @ pre.A.T
+    frame = _frame(x)
+    pre = ppc_range(frame, eps, delta, beta, noise)
     rho = eps ** 2 / (8.0 * math.log(1.0 / delta))
-    inner = pgce(y, rho, beta, pre.kappa_star, noise)
-    a_inv = np.linalg.inv(pre.A)
-    sigma_hat = a_inv @ inner.sigma_hat @ a_inv.T
-    sigma_hat = (sigma_hat + sigma_hat.T) / 2.0
+    inner = pgce(frame, rho, beta, pre.kappa_star, noise)
     eps_spent, delta_spent = compose_approx_dp(
         [(pre.budget_spent.eps, pre.budget_spent.delta),
          zcdp_to_approx_dp(rho, delta)])
     diag = dict(inner.diagnostics)
     diag["preconditioner_rounds"] = pre.round_log
     diag["kappa_star"] = pre.kappa_star
-    return CovEstimate(sigma_hat=sigma_hat,
+    return CovEstimate(sigma_hat=inner.sigma_hat,
                        budget_spent=PrivacyBudget.approx(eps_spent, delta_spent),
                        diagnostics=diag)

@@ -58,7 +58,7 @@ def stable_histogram_approx_dp(data: ArrayLike, eps: float, delta: float,
         raise InvalidParameterError("empty data")
     if not np.issubdtype(data.dtype, np.integer):
         raise InvalidInputError(f"bucket keys must be integers, got {data.dtype}")
-    if eps <= 0:
+    if not eps > 0:
         raise InvalidParameterError(f"eps must be > 0, got {eps}")
     if not (0 < delta < 1.0 / n):
         raise InvalidParameterError(
@@ -91,7 +91,7 @@ def histogram_zcdp(data: ArrayLike, universe: ArrayLike, rho: float,
     n = len(data)
     if n == 0:
         raise InvalidParameterError("empty data")
-    if rho <= 0:
+    if not rho > 0:
         raise InvalidParameterError(f"rho must be > 0, got {rho}")
     if not (0 < beta < 1):
         raise InvalidParameterError(f"beta must be in (0,1), got {beta}")

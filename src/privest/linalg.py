@@ -89,6 +89,14 @@ def project_psd(m: np.ndarray) -> np.ndarray:
     return (out + out.T) / 2.0
 
 
+def psd_factor(m: np.ndarray) -> np.ndarray:
+    """F = U diag(sqrt(max(lambda, 0))) from one eigendecomposition of m, so
+    that F F^T is its nearest-PSD projection."""
+    m = _check_symmetric(m)
+    evals, evecs = sym_eigh(m)
+    return evecs * np.sqrt(np.maximum(evals, 0.0))
+
+
 def _checked_eigh_pd(sigma: np.ndarray):
     sigma = _check_symmetric(sigma, "Sigma")
     evals, evecs = sym_eigh(sigma)

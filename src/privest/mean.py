@@ -60,7 +60,7 @@ def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
     n = x.shape[0]
     if n < 4:
         raise InvalidParameterError(f"need at least 4 samples, got {n}")
-    if rho <= 0 or not (0 < beta < 1) or R < 0 or kappa < 1:
+    if not (rho > 0 and 0 < beta < 1 and R >= 0 and kappa >= 1):
         raise InvalidParameterError("bad (rho, beta, R, kappa)")
     half = n // 2
     hist_block = x[:half]

@@ -76,7 +76,7 @@ class NoiseSource:
         discrete sampler (e.g. Canonne, Kamath and Steinke's discrete
         Gaussian) would close this and remains a follow-up.
         """
-        if std < 0:
+        if not std >= 0:
             raise InvalidParameterError(f"std must be >= 0, got {std}")
         if self.zero_noise:
             return 0.0 if size is None else np.zeros(size)
@@ -86,7 +86,7 @@ class NoiseSource:
     def laplace(self, scale: float, size=None):
         """Centered Laplace draw(s) via inverse CDF of a uniform; the
         floating-point caveat of ``gaussian`` applies."""
-        if scale < 0:
+        if not scale >= 0:
             raise InvalidParameterError(f"scale must be >= 0, got {scale}")
         if self.zero_noise:
             return 0.0 if size is None else np.zeros(size)

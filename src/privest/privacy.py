@@ -113,9 +113,9 @@ def gaussian_mechanism_vector(v: np.ndarray, delta2: float, rho: float,
 
     Satisfies rho-zCDP for a function with l2-sensitivity delta2.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise InvalidParameterError(f"rho must be > 0, got {rho}")
-    if delta2 < 0:
+    if not delta2 >= 0:
         raise InvalidParameterError(f"sensitivity must be >= 0, got {delta2}")
     v = np.asarray(v, dtype=float)
     if delta2 == 0:
@@ -132,9 +132,9 @@ def gaussian_mechanism_symmetric(m: np.ndarray, delta_f: float, rho: float,
     Calibrating to the Frobenius sensitivity of the full matrix is
     conservative for the d(d+1)/2 free entries, so this never under-noises.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise InvalidParameterError(f"rho must be > 0, got {rho}")
-    if delta_f < 0:
+    if not delta_f >= 0:
         raise InvalidParameterError(f"sensitivity must be >= 0, got {delta_f}")
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

@@ -116,7 +116,7 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
         raise InvalidParameterError(f"expected 2-d data, got shape {x.shape}")
     if not np.isin(x, (0, 1)).all():
         raise InvalidParameterError("data must be 0/1 valued")
-    if rho <= 0 or not (0 < alpha < 1) or not (0 < beta < 1):
+    if not (rho > 0 and 0 < alpha < 1 and 0 < beta < 1):
         raise InvalidParameterError("bad (rho, alpha, beta)")
     x = x.astype(float)
     n, d = x.shape

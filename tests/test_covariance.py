@@ -285,7 +285,7 @@ class TestCachedFrame:
     def test_frame_refuses_a_looser_clamp(self, heavy_rows):
         # rows past the frame's loosest clamp are not in its Gram matrix, so
         # a clamp that could keep them is refused rather than answered short
-        frame = _Frame(heavy_rows, [clamp_threshold_sq(1e3, 4, 20_000, 0.05)], 2.0)
+        frame = _Frame(heavy_rows, [clamp_threshold_sq(1e3, 4, 20_000, 0.05)])
         with pytest.raises(InvalidParameterError):
             naive_pce(frame, 1.0, 0.05, 1e4, NoiseSource.zero())
 
@@ -295,9 +295,9 @@ class TestCachedFrame:
         # after which they must equal the norms of the rows mapped through M
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3_000, 32)) * np.geomspace(1.0, 1e3, 32)
-        frame = _Frame(x, [1e300], 2.0)
+        frame = _Frame(x, [1e300])
         for k in (16, 3, 30):
-            frame.push(np.linalg.qr(rng.standard_normal((32, k)))[0])
+            frame.push(np.linalg.qr(rng.standard_normal((32, k)))[0], 2.0, ROUND_SCALE)
         bound = frame.bound
         frame.moment(1.0)
         want = np.einsum("ij,ij->i", x @ frame.m.T, x @ frame.m.T)
@@ -359,7 +359,7 @@ class TestLazyNorms:
 
         monkeypatch.setattr(_Frame, "_refresh", refuse)
         clamps = [clamp_threshold_sq(k, 4, 20_000, 0.05) for k in (1e7, 1e5, 1e3, 10.0)]
-        frame = _Frame(late_rows, clamps[:1], 1.0)
+        frame = _Frame(late_rows, clamps[:1])
         for b_sq in clamps:
             cov, kept = frame.moment(b_sq)
             want, want_kept = clamped_covariance(late_rows, b_sq)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privest.covariance import pgce
+from privest.covariance import _Frame, clamp_threshold_sq, pgce
 from privest.covariance_unbounded import (BIG_XI, BOTTOM_KEY, BUCKET_BASE,
-                                          FLOOR_COEFF, XI, TraceEstimate,
+                                          FLOOR_COEFF, SWEEP_SHRINK, XI,
+                                          TraceEstimate,
                                           _bucket_keys, p_estimate_trace,
                                           pgce_no_bound, ppc_range,
                                           weak_ppc_no_bound)
@@ -319,3 +320,105 @@ def test_bad_row_counts_as_zero_row(estimate, bad):
     x[0] = bad
     got = estimate(x).sigma_hat
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def materialised_ppc_range(x, eps, delta, beta, noise):
+    """ppc_range written as a loop that transforms a copy of the samples in
+    every round.  Returns A, the round log and, per round, the mask of rows
+    within the loosest clamp of its sweep."""
+    n, d = x.shape
+    eps_r = eps / math.sqrt(d * math.log(1.0 / delta))
+    delta_r, beta_r = delta / d, beta / d
+    rho_r = eps_r ** 2 / math.log(1.0 / delta)
+    a_total, xt, log, within, dims = np.eye(d), x, [], [], 0
+    for _ in range(d):
+        est = p_estimate_trace(xt, eps_r, delta_r, beta_r, noise)
+        a_j, b_j = XI * est.T, BIG_XI * d * est.T
+        if a_j < FLOOR_COEFF * d ** 3:
+            break
+        steps = math.ceil(math.log(2.0 * b_j / a_j) / math.log(1.0 / SWEEP_SHRINK))
+        b_sq = clamp_threshold_sq(b_j, d, n, beta_r / steps)
+        within.append(np.einsum("ij,ij->i", xt, xt) <= b_sq)
+        v, a_mat = weak_ppc_no_bound(xt, rho_r, beta_r, (a_j, b_j), noise)
+        xt = xt @ a_mat.T
+        a_total = a_mat @ a_total
+        log.append((b_j, a_j, v.shape[1], rho_r))
+        dims += v.shape[1]
+        if dims >= d:
+            break
+    return 2.0 * a_total, log, np.array(within)
+
+
+def materialised_pgce_no_bound(x, eps, delta, beta, noise):
+    """pgce_no_bound estimating from the transformed copy and conjugating
+    back through a dense inverse of A."""
+    a, _, _ = materialised_ppc_range(x, eps, delta, beta, noise)
+    rho = eps ** 2 / (8.0 * math.log(1.0 / delta))
+    inner = pgce(x @ a.T, rho, beta, FLOOR_COEFF * BIG_XI * x.shape[1] ** 4, noise)
+    a_inv = np.linalg.inv(a)
+    return a_inv @ inner.sigma_hat @ a_inv.T
+
+
+class TestOneFrame:
+    """ppc_range and pgce_no_bound read one frame over the original rows;
+    they must agree with transforming the samples every round and inverting
+    A densely."""
+
+    @pytest.fixture(scope="class")
+    def heavy_rows(self):
+        # Student-t rows (2 degrees of freedom) with two heavy directions,
+        # so ppc_range runs two rounds
+        rng = np.random.default_rng(0)
+        n, d = 20_000, 4
+        scale = np.sqrt([1.0, 1e2, 1e5, 1e7])
+        t = np.sqrt(rng.chisquare(2.0, size=(n, 1)) / 2.0)
+        return rng.standard_normal((n, d)) * scale / t
+
+    @pytest.mark.parametrize("noise_seed", [None, 7])
+    def test_matches_materialised_loop(self, heavy_rows, noise_seed, monkeypatch):
+        def noise():
+            return NoiseSource.zero() if noise_seed is None else NoiseSource(noise_seed)
+
+        eps, delta, beta, d = 1e4, 1e-6, 0.05, heavy_rows.shape[1]
+        want_a, want_log, within = materialised_ppc_range(heavy_rows, eps, delta, beta,
+                                                          noise())
+        # some row is past the loosest clamp of one round's sweep and within
+        # a later round's, so the frame must extend what it covers
+        assert (~within[:-1] & within[1:]).any()
+        outside, cover = [], _Frame.cover
+
+        def spy(frame, clamps):
+            cover(frame, clamps)
+            outside.append(frame.out.size)
+
+        monkeypatch.setattr(_Frame, "cover", spy)
+        pre = ppc_range(heavy_rows, eps, delta, beta, noise())
+        assert any(later < first for first, later in zip(outside, outside[1:]))
+        assert [(r.kappa, r.threshold, r.subspace_dim, r.rho)
+                for r in pre.round_log] == want_log
+        # each round's K is kappa/d^2 at the bound where its sweep stopped
+        assert all(r.threshold / 2.0 < r.K * d ** 2 <= r.kappa for r in pre.round_log)
+        assert np.linalg.norm(pre.A - want_a) <= 1e-12 * np.linalg.norm(want_a)
+        assert np.linalg.norm(pre.A @ pre.A_inv - np.eye(d)) <= 1e-12
+        want = materialised_pgce_no_bound(heavy_rows, eps, delta, beta, noise())
+        got = pgce_no_bound(heavy_rows, eps, delta, beta, noise()).sigma_hat
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("data_seed, noise_seed", [
+    (3968592478561916130, 4285814145920932629),
+    (422729053082401719, 2760407739696333887)])
+def test_estimate_is_psd_on_ill_conditioned_maps(data_seed, noise_seed):
+    # 200k rows with spectrum geomspace(1, 1e4) in a random basis, drawn as
+    # the benchmark's Gaussian inputs are; conjugating back through a dense
+    # inverse of A gave min eigenvalues far below zero on these seeds
+    rng = np.random.default_rng(data_seed)
+    d = 4
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    q = q * np.sign(np.diag(r))
+    cov = (q * np.geomspace(1.0, 1e4, d)) @ q.T
+    cov = (cov + cov.T) / 2.0
+    rng.uniform(-1.0, 1.0, d)   # the mean's draw; the mean is 0 here
+    x = rng.standard_normal((200_000, d)) @ np.linalg.cholesky(cov).T
+    sigma = pgce_no_bound(x, 1.0, 1e-7, 0.05, NoiseSource(noise_seed)).sigma_hat
+    assert np.linalg.eigvalsh(sigma)[0] >= -1e-6

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from privest import covariance, covariance_unbounded, histogram, mean, product
 from privest.errors import InvalidInputError, InvalidParameterError
 from privest.noise import NoiseSource
 from privest.privacy import (PrivacyBudget, compose_approx_dp, compose_zcdp,
@@ -159,3 +160,46 @@ class TestGaussianMechanismSymmetric:
         se = sigma ** 2 * math.sqrt(2.0 / k)  # stderr of a chi^2 variance est
         assert abs(float(np.var(diag)) - sigma ** 2) < 3 * se
         assert abs(float(np.var(off)) - sigma ** 2) < 3 * se
+
+
+
+NAN = math.nan
+ROWS = np.random.default_rng(0).standard_normal((200, 2))
+BITS = np.random.default_rng(0).integers(0, 2, size=(200, 3))
+KEYS = np.zeros(50, dtype=np.int64)
+FLOOR = 2 * 40.0 * 2 ** 3   # above weak_ppc_no_bound's interval floor at d = 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda: covariance.pgce(ROWS, NAN, 0.05, 10.0, NoiseSource(0)),
+    lambda: covariance.pgce(ROWS, 1.0, 0.05, NAN, NoiseSource(0)),
+    lambda: covariance.weak_ppc(ROWS, 1.0, 0.05, NAN, 2.0, NoiseSource(0)),
+    lambda: covariance.weak_ppc(ROWS, 1.0, 0.05, 10.0, NAN, NoiseSource(0)),
+    lambda: covariance_unbounded.weak_ppc_no_bound(ROWS, 1.0, 0.05, (NAN, FLOOR),
+                                                   NoiseSource(0)),
+    lambda: covariance_unbounded.weak_ppc_no_bound(ROWS, 1.0, 0.05, (FLOOR, NAN),
+                                                   NoiseSource(0)),
+    lambda: covariance_unbounded.pgce_no_bound(ROWS, NAN, 1e-6, 0.05, NoiseSource(0)),
+    lambda: histogram.histogram_zcdp(KEYS, np.arange(3), NAN, 0.05, NoiseSource(0)),
+    lambda: histogram.stable_histogram_approx_dp(KEYS, NAN, 1e-3, 0.05, NoiseSource(0)),
+    lambda: gaussian_mechanism_vector(np.zeros(3), 1.0, NAN, NoiseSource(0)),
+    lambda: gaussian_mechanism_vector(np.zeros(3), NAN, 1.0, NoiseSource(0)),
+    lambda: gaussian_mechanism_symmetric(np.eye(3), 1.0, NAN, NoiseSource(0)),
+    lambda: gaussian_mechanism_symmetric(np.eye(3), NAN, 1.0, NoiseSource(0)),
+    lambda: mean.univariate_mean(ROWS[:, 0], NAN, 0.05, 10.0, 2.0, NoiseSource(0)),
+    lambda: mean.univariate_mean(ROWS[:, 0], 1.0, 0.05, NAN, 2.0, NoiseSource(0)),
+    lambda: mean.univariate_mean(ROWS[:, 0], 1.0, 0.05, 10.0, NAN, NoiseSource(0)),
+    lambda: product.ppde(BITS, NAN, 0.1, 0.05, NoiseSource(0)),
+    lambda: NoiseSource(0).gaussian(NAN),
+    lambda: NoiseSource(0).laplace(NAN),
+], ids=["pgce-rho", "pgce-kappa", "weak_ppc-kappa", "weak_ppc-K",
+        "weak_ppc_no_bound-a", "weak_ppc_no_bound-b", "pgce_no_bound-eps",
+        "histogram_zcdp-rho", "stable_histogram-eps", "vector-rho",
+        "vector-sensitivity", "symmetric-rho", "symmetric-sensitivity",
+        "univariate_mean-rho", "univariate_mean-R", "univariate_mean-kappa",
+        "ppde-rho", "gaussian-std", "laplace-scale"])
+def test_nan_parameter_is_rejected(call):
+    # NaN fails every ordered comparison, so each check rejects what is not
+    # inside its range rather than what is outside it
+    with pytest.raises(InvalidParameterError):
+        call()
