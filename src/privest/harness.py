@@ -155,7 +155,7 @@ def learn_product_flip_heavy(x: np.ndarray, rho: float, alpha: float,
     vote_rho = rho / 10.0
     flipped = []
     for j in range(d):
-        h = histogram_zcdp(x[:, j], [0, 1], vote_rho / d, beta, noise)
+        h = histogram_zcdp(x[:, j], 0, 2, vote_rho / d, beta, noise)
         if h.entries.get(1, 0.0) > 0.5:
             flipped.append(j)
     xf = x.copy()

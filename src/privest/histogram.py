@@ -6,12 +6,12 @@ Two mechanisms:
   histogram.  Only buckets that actually occur get Laplace noise, and a
   release threshold suppresses small noisy counts, so buckets with true
   count zero are never emitted even over an unbounded key universe.
-* ``histogram_zcdp`` — Gaussian noise on the full count vector of a finite
-  universe, rho-zCDP.
+* ``histogram_zcdp`` — Gaussian noise on the full count vector of integer
+  keys in [lo, hi), counted with one ``bincount``, rho-zCDP.
 
-Both count integer key arrays in one pass and draw their noise as one
-vector, one draw per bucket in ascending key order.  A caller that needs an
-out-of-universe bucket reserves an integer key for it.
+Both take integer key arrays and draw their noise as one vector, one draw
+per bucket in ascending key order.  A caller that needs an out-of-universe
+bucket reserves an integer key for it.
 """
 
 from __future__ import annotations
@@ -77,17 +77,16 @@ def stable_histogram_approx_dp(data: ArrayLike, eps: float, delta: float,
     return HistogramResult(entries=entries, n=n, accuracy_bound=bound)
 
 
-def histogram_zcdp(data: ArrayLike, universe: ArrayLike, rho: float,
+def histogram_zcdp(data: ArrayLike, lo: int, hi: int, rho: float,
                    beta: float, noise: NoiseSource) -> HistogramResult:
-    """rho-zCDP histogram over a finite universe via the Gaussian mechanism.
+    """rho-zCDP histogram of integer keys in [lo, hi), Gaussian mechanism.
 
-    ``data`` and ``universe`` are integer key arrays; entries are keyed by
-    the universe in ascending order.  Replacing one sample moves the count
-    vector by at most 1 in two buckets, so the l2-sensitivity of the
-    frequency vector is sqrt(2)/n exactly.
+    The keys are counted with one ``bincount``; entries are keyed by lo, ...,
+    hi - 1 in ascending order, one noise draw per key.  Replacing one sample
+    moves the count vector by at most 1 in two buckets, so the
+    l2-sensitivity of the frequency vector is sqrt(2)/n exactly.
     """
     data = np.asarray(data)
-    universe = np.asarray(universe)
     n = len(data)
     if n == 0:
         raise InvalidParameterError("empty data")
@@ -95,21 +94,19 @@ def histogram_zcdp(data: ArrayLike, universe: ArrayLike, rho: float,
         raise InvalidParameterError(f"rho must be > 0, got {rho}")
     if not (0 < beta < 1):
         raise InvalidParameterError(f"beta must be in (0,1), got {beta}")
-    keys = np.unique(universe)
-    if keys.size != universe.size:
-        raise InvalidInputError("universe contains duplicate keys")
-    pos = np.searchsorted(keys, data)
-    inside = pos < keys.size
-    inside[inside] = keys[pos[inside]] == data[inside]
-    if not inside.all():
-        raise InvalidInputError(
-            f"keys outside universe: {np.unique(data[~inside])[:5].tolist()}")
+    if not np.issubdtype(data.dtype, np.integer):
+        raise InvalidInputError(f"bucket keys must be integers, got {data.dtype}")
+    if hi <= lo or data.min() < lo or data.max() >= hi:
+        bad = np.unique(data[(data < lo) | (data >= hi)])[:5]
+        raise InvalidInputError(f"keys outside [{lo}, {hi}): {bad.tolist()}")
 
+    size = hi - lo
     sigma = (math.sqrt(2.0) / n) / math.sqrt(2.0 * rho)
-    draws = noise.gaussian(sigma, size=keys.size)
-    freqs = np.bincount(pos, minlength=keys.size) / n + draws
-    entries = dict(zip(keys.tolist(), freqs.tolist()))
-    bound = math.sqrt(2.0 * math.log(2.0 * keys.size / beta) / rho) / n * math.sqrt(2.0)
+    draws = noise.gaussian(sigma, size=size)
+    # cast first: lo may not fit the keys' dtype (int8 columns, say)
+    freqs = np.bincount(data.astype(np.intp) - lo, minlength=size) / n + draws
+    entries = dict(zip(range(lo, hi), freqs.tolist()))
+    bound = math.sqrt(2.0 * math.log(2.0 * size / beta) / rho) / n * math.sqrt(2.0)
     return HistogramResult(entries=entries, n=n, accuracy_bound=bound)
 
 
@@ -119,5 +116,7 @@ def argmax_bucket(h: HistogramResult, threshold: float) -> Optional[int]:
     Returns None when no bucket reaches ``threshold``.  Ties break toward
     the smaller key.
     """
-    return min((k for k, v in h.entries.items() if v >= threshold),
-               key=lambda k: (-h.entries[k], k), default=None)
+    keys = np.fromiter(h.entries, dtype=np.int64)
+    freqs = np.fromiter(h.entries.values(), dtype=float)
+    top = freqs.max(initial=-np.inf, where=freqs >= threshold)
+    return None if top == -np.inf else int(keys[freqs == top].min())

@@ -82,8 +82,7 @@ def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
         with np.errstate(divide="ignore"):
             raw = np.floor(np.log2(np.where(absd > 0, absd, 2.0 ** (k_lo - 1))))
         keys = np.clip(raw, k_lo, k_hi).astype(int)
-        h = histogram_zcdp(keys, np.arange(k_lo, k_hi + 1), rho / 4.0,
-                           beta / 2.0, noise)
+        h = histogram_zcdp(keys, k_lo, k_hi + 1, rho / 4.0, beta / 2.0, noise)
         k_star = argmax_bucket(h, SCALE_VOTE)
         if k_star is None:
             return MeanEstimate(mu_hat=None, budget_spent=PrivacyBudget.zcdp(rho),
@@ -102,7 +101,7 @@ def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
     g = math.ceil(R / width) + 1
     keys = np.nan_to_num(np.floor(hist_block / width), nan=-g)
     keys = np.clip(keys, -g, g - 1).astype(int)
-    h = histogram_zcdp(keys, np.arange(-g, g), rho_loc, beta / 2.0, noise)
+    h = histogram_zcdp(keys, -g, g, rho_loc, beta / 2.0, noise)
     r_star = argmax_bucket(h, LOCATION_VOTE)
     if r_star is None:
         return MeanEstimate(mu_hat=None, budget_spent=PrivacyBudget.zcdp(rho),

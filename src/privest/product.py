@@ -114,7 +114,7 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
     x = np.asarray(x)
     if x.ndim != 2:
         raise InvalidParameterError(f"expected 2-d data, got shape {x.shape}")
-    if not np.isin(x, (0, 1)).all():
+    if not ((x == 0) | (x == 1)).all():
         raise InvalidParameterError("data must be 0/1 valued")
     if not (rho > 0 and 0 < alpha < 1 and 0 < beta < 1):
         raise InvalidParameterError("bad (rho, alpha, beta)")

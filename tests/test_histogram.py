@@ -3,12 +3,28 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from privest.errors import InvalidInputError, InvalidParameterError
 from privest.histogram import (HistogramResult, argmax_bucket, histogram_zcdp,
                                stable_histogram_approx_dp)
 from privest.noise import NoiseSource
+
+
+def searchsorted_histogram(data, lo, hi, rho, beta, noise):
+    """Reference for histogram_zcdp: look each key up in the ascending
+    universe np.arange(lo, hi) with searchsorted, then count positions."""
+    data = np.asarray(data)
+    keys = np.arange(lo, hi)
+    n = len(data)
+    pos = np.searchsorted(keys, data)
+    assert (pos < keys.size).all() and (keys[pos] == data).all()
+    sigma = (math.sqrt(2.0) / n) / math.sqrt(2.0 * rho)
+    draws = noise.gaussian(sigma, size=keys.size)
+    freqs = np.bincount(pos, minlength=keys.size) / n + draws
+    bound = math.sqrt(2.0 * math.log(2.0 * keys.size / beta) / rho) / n * math.sqrt(2.0)
+    return HistogramResult(entries=dict(zip(keys.tolist(), freqs.tolist())),
+                           n=n, accuracy_bound=bound)
 
 
 class TestStableHistogram:
@@ -80,37 +96,35 @@ class TestStableHistogram:
 
 class TestHistogramZcdp:
     def test_zero_noise_exact(self):
-        h = histogram_zcdp([0, 0, 1, 2], [0, 1, 2, 3], 1.0, 0.05,
-                           NoiseSource.zero())
+        h = histogram_zcdp([0, 0, 1, 2], 0, 4, 1.0, 0.05, NoiseSource.zero())
         assert h.entries[0] == pytest.approx(0.5)
         assert h.entries[1] == pytest.approx(0.25)
         assert h.entries[3] == 0.0
 
     def test_zero_noise_frequencies_sum_to_one(self):
         data = [2, 2, 5, -1, 0, 0, 0]
-        h = histogram_zcdp(data, list(range(-2, 7)), 0.7, 0.1,
-                           NoiseSource.zero())
+        h = histogram_zcdp(data, -2, 7, 0.7, 0.1, NoiseSource.zero())
         assert abs(sum(h.entries.values()) - 1.0) < 1e-12
 
     def test_singleton_universe(self):
-        h = histogram_zcdp([7, 7, 7], [7], 1.0, 0.05, NoiseSource(0))
+        h = histogram_zcdp([7, 7, 7], 7, 8, 1.0, 0.05, NoiseSource(0))
         assert len(h.entries) == 1
         # 1.0 plus a single Gaussian draw
         assert abs(h.entries[7] - 1.0) < 1.0
 
     def test_key_outside_universe(self):
-        with pytest.raises(InvalidInputError):
-            histogram_zcdp([0, 9], [0, 1], 1.0, 0.05, NoiseSource(0))
+        with pytest.raises(InvalidInputError, match=r"\[-3, 9\]"):
+            histogram_zcdp([0, 9, -3, 9], 0, 2, 1.0, 0.05, NoiseSource(0))
 
-    def test_duplicate_universe_rejected(self):
+    def test_reversed_range_rejected(self):
         with pytest.raises(InvalidInputError):
-            histogram_zcdp([0], [0, 0], 1.0, 0.05, NoiseSource(0))
+            histogram_zcdp([0], 1, 0, 1.0, 0.05, NoiseSource(0))
 
     def test_empty_data_or_universe_rejected(self):
         with pytest.raises(InvalidParameterError):
-            histogram_zcdp([], [0, 1], 1.0, 0.05, NoiseSource(0))
+            histogram_zcdp([], 0, 2, 1.0, 0.05, NoiseSource(0))
         with pytest.raises(InvalidInputError):
-            histogram_zcdp([0], [], 1.0, 0.05, NoiseSource(0))
+            histogram_zcdp([0], 0, 0, 1.0, 0.05, NoiseSource(0))
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(min_value=-5, max_value=5), min_size=1,
@@ -119,16 +133,48 @@ class TestHistogramZcdp:
     def test_matches_counting_loop(self, data, seed):
         # reference: count each key with a loop over the ascending universe,
         # the i-th noise draw going to the i-th key
-        universe = list(range(5, -6, -1))
+        universe = list(range(-5, 6))
         rho, n = 0.5, len(data)
-        h = histogram_zcdp(np.array(data), universe, rho, 0.05,
-                           NoiseSource(seed))
+        h = histogram_zcdp(np.array(data), -5, 6, rho, 0.05, NoiseSource(seed))
         sigma = (math.sqrt(2.0) / n) / math.sqrt(2.0 * rho)
         draws = NoiseSource(seed).gaussian(sigma, size=len(universe))
         want = {k: data.count(k) / n + float(draws[i])
-                for i, k in enumerate(sorted(universe))}
+                for i, k in enumerate(universe)}
         assert h.entries == want
-        assert list(h.entries) == sorted(universe)
+        assert list(h.entries) == universe
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_searchsorted_reference(self, draw):
+        dtype = draw.draw(st.sampled_from([np.int8, np.uint8, np.int16,
+                                           np.int64]))
+        lo = draw.draw(st.integers(min_value=-300, max_value=200))
+        hi = lo + draw.draw(st.integers(min_value=1, max_value=300))
+        info = np.iinfo(dtype)
+        k_min, k_max = max(lo, int(info.min)), min(hi - 1, int(info.max))
+        assume(k_min <= k_max)
+        keys = draw.draw(st.lists(st.integers(k_min, k_max), min_size=1,
+                                  max_size=60))
+        data = np.array(keys, dtype=dtype)
+        seed = draw.draw(st.integers(min_value=0, max_value=2**32))
+        h = histogram_zcdp(data, lo, hi, 0.5, 0.05, NoiseSource(seed))
+        want = searchsorted_histogram(data, lo, hi, 0.5, 0.05,
+                                      NoiseSource(seed))
+        assert h.entries == want.entries
+        assert list(h.entries) == list(want.entries)
+        assert h.accuracy_bound == want.accuracy_bound
+
+        with pytest.raises(InvalidInputError):
+            histogram_zcdp(data.astype(float), lo, hi, 0.5, 0.05,
+                           NoiseSource(seed))
+        for bad in (lo - 1, hi):
+            with pytest.raises(InvalidInputError):
+                histogram_zcdp(np.append(data.astype(np.int64), bad), lo, hi,
+                               0.5, 0.05, NoiseSource(seed))
+        for empty_hi in (lo, lo - 1):
+            with pytest.raises(InvalidInputError):
+                histogram_zcdp(data, lo, empty_hi, 0.5, 0.05,
+                               NoiseSource(seed))
 
     def test_sensitivity_worst_case(self):
         # replacing one sample changes the exact count vector by 1 in two
@@ -149,7 +195,7 @@ class TestHistogramZcdp:
         truth = {k: data.count(k) / n for k in universe}
         good = 0
         for seed in range(200):
-            h = histogram_zcdp(data, universe, rho, beta, NoiseSource(seed))
+            h = histogram_zcdp(data, 0, 40, rho, beta, NoiseSource(seed))
             err = max(abs(h.entries[k] - truth[k]) for k in universe)
             good += err <= h.accuracy_bound
         assert good >= 0.95 * 200

@@ -92,6 +92,23 @@ class TestUnivariateMean:
         with pytest.raises(InvalidParameterError):
             univariate_mean(x, 1.0, 0.05, 1.0, 0.5, NoiseSource(0))
 
+    @pytest.mark.parametrize("kappa, mu, sd, seed, mu_hat, sigma_est", [
+        (1.0, -2.3, 1.0, 0, -2.2951454980791226, None),
+        (1.0, -2.3, 1.0, 1, -2.306048523047428, None),
+        (1.0, -2.3, 1.0, 2, -2.2891851580316094, None),
+        (100.0, 3.7, 4.0, 0, 3.667026998911093, 3.9002584412141568),
+        (100.0, 3.7, 4.0, 1, 3.667858847930348, 3.9937353583398774),
+        (100.0, 3.7, 4.0, 2, 3.7112992610758777, 3.968538828122357),
+    ])
+    def test_pinned_vote_outputs(self, kappa, mu, sd, seed, mu_hat, sigma_est):
+        # exact outputs over location universes of 2002 (kappa = 1) and 502
+        # buckets; the input is scaled elementwise, so no BLAS call moves it
+        x = mu + sd * np.random.default_rng(seed).standard_normal(20_000)
+        est = univariate_mean(x, 1.0, 0.05, 1000.0, kappa,
+                              NoiseSource(seed + 10))
+        assert est.mu_hat == mu_hat
+        assert est.diagnostics.get("sigma_est") == sigma_est
+
 
 class TestNaivePme:
     def test_d1_matches_univariate_zero_noise(self):

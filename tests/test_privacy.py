@@ -180,7 +180,7 @@ FLOOR = 2 * 40.0 * 2 ** 3   # above weak_ppc_no_bound's interval floor at d = 2
     lambda: covariance_unbounded.weak_ppc_no_bound(ROWS, 1.0, 0.05, (FLOOR, NAN),
                                                    NoiseSource(0)),
     lambda: covariance_unbounded.pgce_no_bound(ROWS, NAN, 1e-6, 0.05, NoiseSource(0)),
-    lambda: histogram.histogram_zcdp(KEYS, np.arange(3), NAN, 0.05, NoiseSource(0)),
+    lambda: histogram.histogram_zcdp(KEYS, 0, 3, NAN, 0.05, NoiseSource(0)),
     lambda: histogram.stable_histogram_approx_dp(KEYS, NAN, 1e-3, 0.05, NoiseSource(0)),
     lambda: gaussian_mechanism_vector(np.zeros(3), 1.0, NAN, NoiseSource(0)),
     lambda: gaussian_mechanism_vector(np.zeros(3), NAN, 1.0, NoiseSource(0)),

@@ -139,8 +139,18 @@ class TestPpde:
         assert np.array_equal(est.p, np.zeros(4))
 
     def test_rejects_non_binary(self):
-        with pytest.raises(InvalidParameterError):
-            ppde(np.full((10, 2), 0.5), 1.0, 0.2, 0.05, NoiseSource(0), m=5)
+        for bad in (0.5, 2, -1, math.nan, math.inf):
+            x = np.zeros((10, 2))
+            x[3, 1] = bad
+            with pytest.raises(InvalidParameterError):
+                ppde(x, 1.0, 0.2, 0.05, NoiseSource(0), m=5)
+
+    def test_accepts_bool_and_float_bits(self):
+        bits = sample_product(ProductModel(p=[0.3, 0.6]), 40, NoiseSource(4))
+        want = ppde(bits, 1.0, 0.2, 0.05, NoiseSource(0), m=5).p
+        for x in (bits.astype(bool), bits.astype(float)):
+            got = ppde(x, 1.0, 0.2, 0.05, NoiseSource(0), m=5).p
+            assert np.array_equal(got, want)
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamplesError):
