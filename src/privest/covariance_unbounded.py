@@ -95,7 +95,8 @@ def p_estimate_trace(x, eps: float, delta: float, beta: float,
     r_min = math.ceil(math.log(d) / math.log(BUCKET_BASE) - 1e-9) - 1
     hist = stable_histogram_approx_dp(_bucket_keys(frame.sq_norms(), r_min),
                                       eps, delta, beta, noise)
-    hist.entries.pop(BOTTOM_KEY, None)
+    real = hist.keys != BOTTOM_KEY
+    hist.keys, hist.freqs = hist.keys[real], hist.freqs[real]
     best = argmax_bucket(hist, 0.25)
     if best is None:
         return None

@@ -153,11 +153,8 @@ def learn_product_flip_heavy(x: np.ndarray, rho: float, alpha: float,
     x = np.asarray(x)
     d = x.shape[1]
     vote_rho = rho / 10.0
-    flipped = []
-    for j in range(d):
-        h = histogram_zcdp(x[:, j], 0, 2, vote_rho / d, beta, noise)
-        if h.entries.get(1, 0.0) > 0.5:
-            flipped.append(j)
+    h = histogram_zcdp(x, 0, 2, vote_rho / d, beta, noise)
+    flipped = np.flatnonzero(h.freqs[:, 1] > 0.5).tolist()
     xf = x.copy()
     if flipped:
         xf[:, flipped] = 1 - xf[:, flipped]

@@ -7,17 +7,19 @@ Two mechanisms:
   release threshold suppresses small noisy counts, so buckets with true
   count zero are never emitted even over an unbounded key universe.
 * ``histogram_zcdp`` — Gaussian noise on the full count vector of integer
-  keys in [lo, hi), counted with one ``bincount``, rho-zCDP.
+  keys in [lo, hi), counted with one ``bincount``, rho-zCDP; an (n, d) key
+  array votes on each column in one call.
 
-Both take integer key arrays and draw their noise as one vector, one draw
-per bucket in ascending key order.  A caller that needs an out-of-universe
-bucket reserves an integer key for it.
+Both take integer key arrays, draw their noise as one vector, one draw per
+bucket in ascending key order, and return the keys and noised frequencies as
+two aligned arrays.  A caller that needs an out-of-universe bucket reserves
+an integer key for it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -31,14 +33,21 @@ from .noise import NoiseSource
 class HistogramResult:
     """Noised bucket frequencies plus the l-infinity accuracy certificate.
 
-    ``accuracy_bound`` is the guaranteed max error of any reported frequency
-    at confidence 1 - beta, computed from the mechanism's own constants so
-    callers can assert their preconditions at runtime.
+    ``keys`` is ascending and ``freqs`` aligned with it (one row per column
+    for a column-wise vote).  ``accuracy_bound`` is the guaranteed max error
+    of any reported frequency at confidence 1 - beta, computed from the
+    mechanism's own constants so callers can assert their preconditions.
     """
 
-    entries: dict = field(default_factory=dict)
+    keys: np.ndarray
+    freqs: np.ndarray
     n: int = 0
     accuracy_bound: float = 0.0
+
+    @property
+    def entries(self) -> dict:
+        """{key: frequency} in ascending key order, built on each read."""
+        return dict(zip(self.keys.tolist(), self.freqs.T.tolist()))
 
 
 def stable_histogram_approx_dp(data: ArrayLike, eps: float, delta: float,
@@ -73,18 +82,18 @@ def stable_histogram_approx_dp(data: ArrayLike, eps: float, delta: float,
     keys, counts = np.unique(data, return_counts=True)
     freqs = counts / n + noise.laplace(scale, size=keys.size)
     keep = freqs >= threshold
-    entries = dict(zip(keys[keep].tolist(), freqs[keep].tolist()))
-    return HistogramResult(entries=entries, n=n, accuracy_bound=bound)
+    return HistogramResult(keys[keep], freqs[keep], n, bound)
 
 
 def histogram_zcdp(data: ArrayLike, lo: int, hi: int, rho: float,
                    beta: float, noise: NoiseSource) -> HistogramResult:
     """rho-zCDP histogram of integer keys in [lo, hi), Gaussian mechanism.
 
-    The keys are counted with one ``bincount``; entries are keyed by lo, ...,
-    hi - 1 in ascending order, one noise draw per key.  Replacing one sample
-    moves the count vector by at most 1 in two buckets, so the
-    l2-sensitivity of the frequency vector is sqrt(2)/n exactly.
+    The keys are counted with one ``bincount``; ``keys`` is lo, ..., hi - 1,
+    one noise draw per key.  Replacing one sample moves the count vector by
+    at most 1 in two buckets, so the l2-sensitivity of the frequency vector
+    is sqrt(2)/n exactly.  (n, d) ``data`` gives (d, hi - lo) ``freqs``, one
+    rho-zCDP vote per column, drawn in column order.
     """
     data = np.asarray(data)
     n = len(data)
@@ -94,29 +103,30 @@ def histogram_zcdp(data: ArrayLike, lo: int, hi: int, rho: float,
         raise InvalidParameterError(f"rho must be > 0, got {rho}")
     if not (0 < beta < 1):
         raise InvalidParameterError(f"beta must be in (0,1), got {beta}")
-    if not np.issubdtype(data.dtype, np.integer):
-        raise InvalidInputError(f"bucket keys must be integers, got {data.dtype}")
-    if hi <= lo or data.min() < lo or data.max() >= hi:
-        bad = np.unique(data[(data < lo) | (data >= hi)])[:5]
+    if not np.issubdtype(data.dtype, np.integer) or data.ndim > 2:
+        raise InvalidInputError(f"keys must be 1-d or 2-d integers, got {data.dtype}")
+    size = hi - lo
+    # cast while offsetting: lo may not fit the keys' dtype (int8 columns)
+    off = np.subtract(data, lo, dtype=np.intp)
+    if size <= 0 or off.min(initial=0) < 0 or off.max(initial=0) >= size:
+        bad = np.unique(data[(off < 0) | (off >= size)])[:5]
         raise InvalidInputError(f"keys outside [{lo}, {hi}): {bad.tolist()}")
 
-    size = hi - lo
+    shape = data.shape[1:] + (size,)
+    if data.ndim == 2:
+        off += size * np.arange(data.shape[1])  # column j counts into row j
     sigma = (math.sqrt(2.0) / n) / math.sqrt(2.0 * rho)
-    draws = noise.gaussian(sigma, size=size)
-    # cast first: lo may not fit the keys' dtype (int8 columns, say)
-    freqs = np.bincount(data.astype(np.intp) - lo, minlength=size) / n + draws
-    entries = dict(zip(range(lo, hi), freqs.tolist()))
+    draws = noise.gaussian(sigma, size=shape)
+    freqs = np.bincount(off.ravel(), minlength=math.prod(shape)).reshape(shape) / n + draws
     bound = math.sqrt(2.0 * math.log(2.0 * size / beta) / rho) / n * math.sqrt(2.0)
-    return HistogramResult(entries=entries, n=n, accuracy_bound=bound)
+    return HistogramResult(np.arange(lo, hi), freqs, n, bound)
 
 
 def argmax_bucket(h: HistogramResult, threshold: float) -> Optional[int]:
     """Key of the most frequent bucket if its frequency clears the threshold.
 
-    Returns None when no bucket reaches ``threshold``.  Ties break toward
-    the smaller key.
+    Reads a 1-d result's arrays in place; None when no bucket reaches
+    ``threshold``.  Ties break toward the smaller key.
     """
-    keys = np.fromiter(h.entries, dtype=np.int64)
-    freqs = np.fromiter(h.entries.values(), dtype=float)
-    top = freqs.max(initial=-np.inf, where=freqs >= threshold)
-    return None if top == -np.inf else int(keys[freqs == top].min())
+    top = h.freqs.max(initial=-np.inf, where=h.freqs >= threshold)
+    return None if top == -np.inf else int(h.keys[h.freqs == top].min())

@@ -99,8 +99,8 @@ def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
     # vote's sensitivity is unchanged.
     width = sigma_hat if known_scale else 2.0 * sigma_hat
     g = math.ceil(R / width) + 1
-    keys = np.nan_to_num(np.floor(hist_block / width), nan=-g)
-    keys = np.clip(keys, -g, g - 1).astype(int)
+    keys = np.fmax(np.floor(hist_block / width), -g)  # fmax sends NaN to -g
+    keys = np.fmin(keys, g - 1, out=keys).astype(int)
     h = histogram_zcdp(keys, -g, g, rho_loc, beta / 2.0, noise)
     r_star = argmax_bucket(h, LOCATION_VOTE)
     if r_star is None:

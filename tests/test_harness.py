@@ -7,7 +7,8 @@ from privest.cli import main as cli_main
 from privest.errors import InvalidParameterError
 from privest.harness import (CSV_COLUMNS, ExperimentConfig,
                              budget_ledger_check, configured_budget,
-                             run_experiment)
+                             learn_product_flip_heavy, run_experiment)
+from privest.noise import NoiseSource
 
 
 class TestExperimentConfig:
@@ -92,6 +93,53 @@ class TestRunExperiment:
         lines = (out / "samples.csv").read_text().strip().splitlines()
         assert lines[0] == "seed,x0,x1,x2"
         assert len(lines) == 51
+
+
+class TestFlipVote:
+    # 6 columns, m = 2000 rows per block, 3 blocks for ppde's 2 rounds
+    P = np.array([0.9, 0.6, 0.3, 0.5, 0.1, 0.75])
+    M = 2000
+
+    def rows(self, seed, dtype=np.int8):
+        rng = np.random.default_rng(seed)
+        return (rng.random((3 * self.M, self.P.size)) < self.P).astype(dtype)
+
+    def learn(self, x, noise):
+        diag = {}
+        model = learn_product_flip_heavy(x, 1.0, 0.1, 0.05, noise, m=self.M,
+                                         diagnostics=diag)
+        return diag["flipped"], model.p
+
+    @pytest.mark.parametrize("seed, flipped, p", [
+        (1, [0, 1, 3, 5], [0.8949056669956407, 0.5984613309902784,
+                           0.2929482763102853, 0.4878737666455356,
+                           0.09975264623815867, 0.7486939532448591]),
+        (2, [0, 1, 5], [0.896017190099544, 0.6002687118770813,
+                        0.30308957610623277, 0.5066857122457021,
+                        0.1051027101808237, 0.7521669992047366]),
+        (3, [0, 1, 3, 5], [0.8989112785715581, 0.5981891885458566,
+                           0.308454330846121, 0.5257751943182205,
+                           0.0970602629738987, 0.7590941639935043]),
+    ])
+    def test_pinned_outputs(self, seed, flipped, p):
+        got_flipped, got_p = self.learn(self.rows(seed), NoiseSource(seed + 10))
+        assert got_flipped == flipped
+        assert all(type(j) is int for j in got_flipped)
+        assert got_p.tolist() == p
+
+    def test_zero_noise_flips_columns_above_half(self):
+        n = 3 * self.M
+        ones = [n // 2, n // 2 + 1, n // 2 - 1, n, 0, 3 * n // 4]
+        rng = np.random.default_rng(0)
+        x = np.column_stack([rng.permutation(np.arange(n) < k) for k in ones])
+        flipped, _ = self.learn(x.astype(np.int8), NoiseSource.zero())
+        assert flipped == [1, 3, 5]
+
+    def test_key_dtype_does_not_change_the_model(self):
+        want_flipped, want_p = self.learn(self.rows(4), NoiseSource(14))
+        flipped, p = self.learn(self.rows(4, np.int64), NoiseSource(14))
+        assert flipped == want_flipped
+        assert p.tolist() == want_p.tolist()
 
 
 class TestCli:

@@ -23,8 +23,24 @@ def searchsorted_histogram(data, lo, hi, rho, beta, noise):
     draws = noise.gaussian(sigma, size=keys.size)
     freqs = np.bincount(pos, minlength=keys.size) / n + draws
     bound = math.sqrt(2.0 * math.log(2.0 * keys.size / beta) / rho) / n * math.sqrt(2.0)
-    return HistogramResult(entries=dict(zip(keys.tolist(), freqs.tolist())),
-                           n=n, accuracy_bound=bound)
+    return HistogramResult(keys=keys, freqs=freqs, n=n, accuracy_bound=bound)
+
+
+def dict_argmax_bucket(entries, threshold):
+    """Reference for argmax_bucket: the {key: frequency} dict turned into
+    arrays with np.fromiter, then the masked max, smaller key on ties."""
+    keys = np.fromiter(entries, dtype=np.int64)
+    freqs = np.fromiter(entries.values(), dtype=float)
+    top = freqs.max(initial=-np.inf, where=freqs >= threshold)
+    return None if top == -np.inf else int(keys[freqs == top].min())
+
+
+def result(entries):
+    """A HistogramResult over the keys of ``entries`` in ascending order."""
+    keys = sorted(entries)
+    return HistogramResult(keys=np.array(keys, dtype=np.int64),
+                           freqs=np.array([entries[k] for k in keys], dtype=float),
+                           n=10)
 
 
 class TestStableHistogram:
@@ -176,6 +192,39 @@ class TestHistogramZcdp:
                 histogram_zcdp(data, lo, empty_hi, 0.5, 0.05,
                                NoiseSource(seed))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_columns_match_one_vote_each(self, draw):
+        # an (n, d) array votes on each column as d 1-d calls on one stream
+        # would: same counts, the i-th block of draws going to column i
+        dtype = draw.draw(st.sampled_from([np.int8, np.int64]))
+        lo = draw.draw(st.integers(min_value=-100, max_value=100))
+        hi = lo + draw.draw(st.integers(min_value=1, max_value=20))
+        k_min, k_max = max(lo, -128), min(hi - 1, 127)
+        assume(k_min <= k_max)
+        n = draw.draw(st.integers(min_value=1, max_value=30))
+        d = draw.draw(st.integers(min_value=1, max_value=5))
+        keys = draw.draw(st.lists(st.integers(k_min, k_max), min_size=n * d,
+                                  max_size=n * d))
+        data = np.array(keys, dtype=dtype).reshape(n, d)
+        seed = draw.draw(st.integers(min_value=0, max_value=2**32))
+        h = histogram_zcdp(data, lo, hi, 0.5, 0.05, NoiseSource(seed))
+        ref = NoiseSource(seed)
+        assert h.keys.tolist() == list(range(lo, hi))
+        assert h.freqs.shape == (d, hi - lo)
+        for j in range(d):
+            col = histogram_zcdp(data[:, j], lo, hi, 0.5, 0.05, ref)
+            assert h.freqs[j].tolist() == col.freqs.tolist()
+            assert h.accuracy_bound == col.accuracy_bound
+
+        bad = data.astype(np.int64)
+        bad[n - 1, d - 1] = hi
+        with pytest.raises(InvalidInputError, match=rf"\[{hi}\]"):
+            histogram_zcdp(bad, lo, hi, 0.5, 0.05, NoiseSource(seed))
+        with pytest.raises(InvalidInputError):
+            histogram_zcdp(data[:, :, None], lo, hi, 0.5, 0.05,
+                           NoiseSource(seed))
+
     def test_sensitivity_worst_case(self):
         # replacing one sample changes the exact count vector by 1 in two
         # buckets: l2 change of the frequency vector is sqrt(2)/n exactly
@@ -203,30 +252,61 @@ class TestHistogramZcdp:
 
 class TestArgmaxBucket:
     def test_clear_winner(self):
-        h = HistogramResult(entries={2: 0.6, 5: 0.1}, n=10)
-        assert argmax_bucket(h, 0.25) == 2
+        assert argmax_bucket(result({2: 0.6, 5: 0.1}), 0.25) == 2
 
     def test_below_threshold(self):
-        h = HistogramResult(entries={2: 0.2}, n=10)
-        assert argmax_bucket(h, 0.25) is None
+        assert argmax_bucket(result({2: 0.2}), 0.25) is None
 
     def test_tie_breaks_to_smaller_index(self):
-        h = HistogramResult(entries={4: 0.3, 1: 0.3}, n=10)
-        assert argmax_bucket(h, 0.25) == 1
+        assert argmax_bucket(result({4: 0.3, 1: 0.3}), 0.25) == 1
 
     def test_empty(self):
-        assert argmax_bucket(HistogramResult(entries={}, n=1), 0.1) is None
+        assert argmax_bucket(result({}), 0.1) is None
 
     @settings(max_examples=50, deadline=None)
     @given(st.dictionaries(st.integers(min_value=-50, max_value=50),
                            st.floats(min_value=0, max_value=1), max_size=10),
            st.floats(min_value=0.01, max_value=0.9))
     def test_matches_reference(self, entries, threshold):
-        h = HistogramResult(entries=entries, n=10)
-        got = argmax_bucket(h, threshold)
+        got = argmax_bucket(result(entries), threshold)
         eligible = {k: v for k, v in entries.items() if v >= threshold}
         if not eligible:
             assert got is None
         else:
             best = max(eligible.values())
             assert got == min(k for k, v in eligible.items() if v == best)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.integers(min_value=-300, max_value=300),
+                           st.sampled_from([-0.5, 0.0, 0.1, 0.25, 0.3, 0.7]),
+                           max_size=12),
+           st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 0.8]))
+    def test_matches_dict_reference(self, entries, threshold):
+        # few distinct frequencies, so ties and "nothing clears" are common;
+        # keys may be negative and the dict may be empty
+        assert argmax_bucket(result(entries), threshold) \
+            == dict_argmax_bucket(entries, threshold)
+
+
+class TestArrayResult:
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=-50, max_value=50),
+           st.integers(min_value=1, max_value=30),
+           st.integers(min_value=0, max_value=2**32))
+    def test_entries_view_matches_arrays(self, lo, size, seed):
+        hi = lo + size
+        data = np.random.default_rng(seed).integers(lo, hi, size=25)
+        h = histogram_zcdp(data, lo, hi, 0.5, 0.05, NoiseSource(seed))
+        assert h.keys.tolist() == list(range(lo, hi))
+        assert h.freqs.shape == (size,)
+        assert h.entries == dict(zip(range(lo, hi), h.freqs.tolist()))
+        assert list(h.entries) == list(range(lo, hi))
+
+    def test_stable_histogram_keeps_aligned_arrays(self):
+        # key 1 occurs once, below the release threshold (~0.04)
+        data = np.array([5] * 400 + [-2] * 300 + [9] * 300 + [1])
+        h = stable_histogram_approx_dp(data, 1.0, 1e-4, 0.05,
+                                       NoiseSource.zero())
+        assert h.keys.tolist() == [-2, 5, 9]
+        assert h.freqs.tolist() == [300 / 1001, 400 / 1001, 300 / 1001]
+        assert h.entries == {-2: 300 / 1001, 5: 400 / 1001, 9: 300 / 1001}

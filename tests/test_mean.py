@@ -92,6 +92,17 @@ class TestUnivariateMean:
         with pytest.raises(InvalidParameterError):
             univariate_mean(x, 1.0, 0.05, 1.0, 0.5, NoiseSource(0))
 
+    @pytest.mark.parametrize("bad, bucket", [(math.nan, -4), (-math.inf, -4),
+                                             (-1e300, -4), (math.inf, 3),
+                                             (1e300, 3)])
+    def test_out_of_range_samples_vote_for_end_buckets(self, bad, bucket):
+        # R = 2.5 at width 1 gives location buckets -4..3; 150 of the 200
+        # voting samples are bad, so their bucket wins the zero-noise vote
+        x = np.full(400, 0.5)
+        x[:150] = bad
+        est = univariate_mean(x, 1.0, 0.05, 2.5, 1.0, NoiseSource.zero())
+        assert est.weak_estimate == bucket
+
     @pytest.mark.parametrize("kappa, mu, sd, seed, mu_hat, sigma_est", [
         (1.0, -2.3, 1.0, 0, -2.2951454980791226, None),
         (1.0, -2.3, 1.0, 1, -2.306048523047428, None),
@@ -213,6 +224,23 @@ class TestLearnGaussian:
         z = (x[1:n2:2] - x[0:n2:2]) / math.sqrt(2.0)
         emp = z.T @ z / z.shape[0]
         assert np.allclose(cov_est.sigma_hat, emp, atol=1e-10)
+
+    @pytest.mark.parametrize("seed, mu_hat", [
+        (4, [3.0407025567527852, -7.589359738422814, 0.2265311903601197,
+             39.99425422525314]),
+        (5, [3.049106450151633, -7.603799677697226, 0.27875060269408536,
+             40.00852012284416]),
+    ])
+    def test_pinned_mean(self, seed, mu_hat):
+        # exact outputs of naive_pme's per-coordinate child streams; at kappa
+        # 100 the preconditioner runs no round, and the input is scaled
+        # elementwise, so no BLAS call reaches the mean
+        mu = np.array([3.0, -7.5, 0.25, 40.0])
+        sd = np.array([1.0, 10.0, 3.0, 0.5])
+        x = mu + sd * np.random.default_rng(seed).standard_normal((30_000, 4))
+        mean_est, _ = learn_gaussian(x, 1.0, 0.1, 0.05, 100.0, 100.0,
+                                     NoiseSource(seed + 10))
+        assert mean_est.mu_hat.tolist() == mu_hat
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e300])
     def test_bad_entry_in_mean_vote(self, bad):
