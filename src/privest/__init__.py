@@ -28,7 +28,7 @@ from .covariance_unbounded import (TraceEstimate, p_estimate_trace,
                                    weak_ppc_no_bound)
 from .mean import MeanEstimate, learn_gaussian, naive_pme, pme, univariate_mean
 from .product import ProductModel, ppde, tmean, trunc
-from .metrics import (DistanceReport, chi2_kl_bernoulli, gaussian_param_error,
+from .metrics import (chi2_kl_bernoulli, gaussian_param_error,
                       product_sd_upper, tv_gaussian_mc, tv_gaussian_same_cov,
                       tv_product_exact, tv_product_mc)
 from .attacks import (FingerprintReport, cov_packing, fp_score_gaussian,
@@ -46,7 +46,7 @@ __all__ = [
     "naive_pce", "weak_ppc", "ppc", "pgce", "TraceEstimate",
     "p_estimate_trace", "weak_ppc_no_bound", "ppc_range", "pgce_no_bound",
     "MeanEstimate", "univariate_mean", "naive_pme", "pme", "learn_gaussian",
-    "ProductModel", "trunc", "tmean", "ppde", "DistanceReport",
+    "ProductModel", "trunc", "tmean", "ppde",
     "tv_gaussian_same_cov", "tv_gaussian_mc", "tv_product_exact",
     "tv_product_mc", "chi2_kl_bernoulli", "product_sd_upper",
     "gaussian_param_error", "FingerprintReport", "fp_score_product",

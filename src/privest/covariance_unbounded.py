@@ -159,10 +159,14 @@ def ppc_range(x, eps: float, delta: float, beta: float,
     returned A = 2 * (product of round factors).  ``x`` is an array of
     samples or a ``_Frame``, onto which the factors are pushed.
     """
-    frame = _frame(x)
-    d = frame.shape[1]
+    if not eps > 0:
+        raise InvalidParameterError(f"eps must be > 0, got {eps}")
     if not (0 < delta < 1):
         raise InvalidParameterError(f"delta must be in (0,1), got {delta}")
+    if not (0 < beta < 1):
+        raise InvalidParameterError(f"beta must be in (0,1), got {beta}")
+    frame = _frame(x)
+    d = frame.shape[1]
     eps_r = eps / math.sqrt(d * math.log(1.0 / delta))
     delta_r = delta / d
     rho_r = eps_r ** 2 / math.log(1.0 / delta)

@@ -192,97 +192,66 @@ def _attack_mechanism(cfg: ExperimentConfig, mech_src: NoiseSource):
 def _run_trial(cfg: ExperimentConfig, seed: int, trial: int) -> dict:
     data_src = NoiseSource(_mix64(seed * 2 + 1))
     mech_src = NoiseSource(seed, zero_noise=cfg.zero_noise)
-    out: dict = {"seed": seed, "trial": trial, "metrics": {}, "extra": {}}
-
-    if cfg.task == "gaussian-cov":
+    task, x, budget, met = cfg.task, None, None, {}
+    if task.startswith("gaussian"):
         truth = _truth_gaussian(cfg, data_src)
         x = sample_gaussian(truth, cfg.n, data_src)
-        est = covariance.pgce(x, cfg.rho, cfg.beta, cfg.kappa, mech_src)
-        out["metrics"]["mahalanobis-cov"] = metrics.mahalanobis_mat(
+
+    if task in ("gaussian-cov", "gaussian-cov-unbounded"):
+        est = (covariance.pgce(x, cfg.rho, cfg.beta, cfg.kappa, mech_src)
+               if task == "gaussian-cov" else covariance_unbounded.pgce_no_bound(
+                   x, cfg.eps, cfg.delta, cfg.beta, mech_src))
+        met["mahalanobis-cov"] = metrics.mahalanobis_mat(
             truth.cov - est.sigma_hat, truth.cov)
-        out["budget"] = est.budget_spent
-        out["extra"]["dropped"] = est.diagnostics.get("dropped")
-        out["samples"] = x if cfg.samples_csv else None
+        budget = est.budget_spent
 
-    elif cfg.task == "gaussian-cov-unbounded":
-        truth = _truth_gaussian(cfg, data_src)
-        x = sample_gaussian(truth, cfg.n, data_src)
-        est = covariance_unbounded.pgce_no_bound(x, cfg.eps, cfg.delta,
-                                                 cfg.beta, mech_src)
-        out["metrics"]["mahalanobis-cov"] = metrics.mahalanobis_mat(
-            truth.cov - est.sigma_hat, truth.cov)
-        out["budget"] = est.budget_spent
-        out["samples"] = x if cfg.samples_csv else None
-
-    elif cfg.task == "gaussian-mean":
-        truth = _truth_gaussian(cfg, data_src)
-        x = sample_gaussian(truth, cfg.n, data_src)
-        est = mean.pme(x, cfg.rho, cfg.alpha, cfg.beta, cfg.R, cfg.kappa,
-                       mech_src)
-        out["budget"] = est.budget_spent
-        if est.aborted:
-            out["metrics"]["aborted"] = 1.0
+    elif task in ("gaussian-mean", "gaussian-full"):
+        if task == "gaussian-mean":
+            m_est = mean.pme(x, cfg.rho, cfg.alpha, cfg.beta, cfg.R, cfg.kappa,
+                             mech_src)
+            budget = m_est.budget_spent
         else:
-            out["metrics"]["aborted"] = 0.0
-            out["metrics"]["mahalanobis-mean"] = metrics.mahalanobis_vec(
-                truth.mean - est.mu_hat, truth.cov)
-        out["samples"] = x if cfg.samples_csv else None
-
-    elif cfg.task == "gaussian-full":
-        truth = _truth_gaussian(cfg, data_src)
-        x = sample_gaussian(truth, cfg.n, data_src)
-        m_est, c_est = mean.learn_gaussian(x, cfg.rho, cfg.alpha, cfg.beta,
-                                           cfg.R, cfg.kappa, mech_src)
-        out["budget"] = PrivacyBudget.zcdp(
-            m_est.budget_spent.rho + c_est.budget_spent.rho)
-        if m_est.aborted:
-            out["metrics"]["aborted"] = 1.0
-        else:
-            out["metrics"]["aborted"] = 0.0
-            out["metrics"]["mahalanobis-mean"] = metrics.mahalanobis_vec(
+            m_est, c_est = mean.learn_gaussian(x, cfg.rho, cfg.alpha, cfg.beta,
+                                               cfg.R, cfg.kappa, mech_src)
+            budget = PrivacyBudget.zcdp(
+                m_est.budget_spent.rho + c_est.budget_spent.rho)
+        met["aborted"] = float(m_est.aborted)
+        if not m_est.aborted:
+            met["mahalanobis-mean"] = metrics.mahalanobis_vec(
                 truth.mean - m_est.mu_hat, truth.cov)
-            out["metrics"]["mahalanobis-cov"] = metrics.mahalanobis_mat(
+        if not m_est.aborted and task == "gaussian-full":
+            met["mahalanobis-cov"] = metrics.mahalanobis_mat(
                 truth.cov - c_est.sigma_hat, truth.cov)
-            tv, se = metrics.tv_gaussian_mc(
+            met["tv-estimate"], met["tv-stderr"] = metrics.tv_gaussian_mc(
                 truth, GaussianParams(mean=m_est.mu_hat, cov=c_est.sigma_hat),
                 cfg.mc_trials, data_src)
-            out["metrics"]["tv-estimate"] = tv
-            out["metrics"]["tv-stderr"] = se
-        out["samples"] = x if cfg.samples_csv else None
 
-    elif cfg.task == "product":
+    elif task == "product":
         p = _truth_product(cfg)
         x = (data_src.uniform(size=(cfg.n, cfg.d)) < p).astype(np.int8)
+        learn = learn_product_flip_heavy if cfg.flip_heavy else product.ppde
         diag: dict = {}
-        if cfg.flip_heavy:
-            model = learn_product_flip_heavy(x, cfg.rho, cfg.alpha, cfg.beta,
-                                             mech_src, m=cfg.m,
-                                             diagnostics=diag)
-        else:
-            model = product.ppde(x, cfg.rho, cfg.alpha, cfg.beta, mech_src,
-                                 m=cfg.m, diagnostics=diag)
-        out["budget"] = diag.get("budget_spent", PrivacyBudget.zcdp(cfg.rho))
-        out["metrics"]["sd-upper"] = metrics.product_sd_upper(p, model.p)
+        model = learn(x, cfg.rho, cfg.alpha, cfg.beta, mech_src, m=cfg.m,
+                      diagnostics=diag)
+        budget = diag["budget_spent"]
+        met["sd-upper"] = metrics.product_sd_upper(p, model.p)
         if cfg.d <= 20:
-            out["metrics"]["tv-exact"] = metrics.tv_product_exact(p, model.p)
+            met["tv-exact"] = metrics.tv_product_exact(p, model.p)
         else:
-            tv, se = metrics.tv_product_mc(p, model.p, cfg.mc_trials, data_src)
-            out["metrics"]["tv-estimate"] = tv
-            out["metrics"]["tv-stderr"] = se
-        out["samples"] = x if cfg.samples_csv else None
+            met["tv-estimate"], met["tv-stderr"] = metrics.tv_product_mc(
+                p, model.p, cfg.mc_trials, data_src)
 
-    elif cfg.task == "attack":
-        mech = _attack_mechanism(cfg, mech_src)
-        report = run_tracing_attack(mech, "product", cfg.n, cfg.d,
-                                    cfg.attack_trials, data_src, R=cfg.R)
-        out["metrics"]["separation"] = report.separation
-        out["metrics"]["fp-lemma-lhs"] = report.fp_lemma_lhs
-        out["metrics"]["fp-lemma-stderr"] = report.fp_lemma_stderr
-        out["metrics"]["failures"] = float(report.failures)
-        out["budget"] = None
-        out["extra"]["attack_summary"] = report.summary()
+    else:  # attack
+        report = run_tracing_attack(_attack_mechanism(cfg, mech_src), "product",
+                                    cfg.n, cfg.d, cfg.attack_trials, data_src,
+                                    R=cfg.R)
+        met.update({"separation": report.separation,
+                    "fp-lemma-lhs": report.fp_lemma_lhs,
+                    "fp-lemma-stderr": report.fp_lemma_stderr,
+                    "failures": float(report.failures)})
 
-    return out
+    return {"seed": seed, "trial": trial, "metrics": met, "budget": budget,
+            "samples": x if cfg.samples_csv else None}
 
 
 def configured_budget(cfg: ExperimentConfig) -> Optional[PrivacyBudget]:

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import ndtr
@@ -14,21 +12,6 @@ from .linalg import GaussianParams, mahalanobis_mat, mahalanobis_vec
 from .noise import NoiseSource
 
 _EXACT_TV_MAX_DIM = 20
-
-
-@dataclass
-class DistanceReport:
-    """Bundle of distances between a truth model and an estimate."""
-
-    tv: Optional[float] = None
-    tv_stderr: Optional[float] = None
-    kl: Optional[float] = None
-    chi2: Optional[float] = None
-    mahalanobis_mean: Optional[float] = None
-    mahalanobis_cov: Optional[float] = None
-
-    def as_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
 def tv_gaussian_same_cov(mu1: np.ndarray, mu2: np.ndarray,

@@ -10,7 +10,7 @@ no composition: each individual's row is read by exactly one round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -106,10 +106,16 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
     Rows must be 0/1.  The data splits into R+1 disjoint blocks of m rows.
     Each partitioning round reads one block: it takes a truncated mean of
     the active coordinates (truncation radius B_r set by the current bias
-    bound u_r), adds Gaussian noise of std B_r/(m*sqrt(2*rho)), freezes
-    coordinates whose noisy mean clears tau_r, and halves u and tau for the
-    rest.  The final round reads one more block for whatever remains.
-    The output is clamped into [0,1]^d.
+    bound u_r), adds Gaussian noise, freezes coordinates whose noisy mean
+    clears tau_r, and halves u and tau for the rest.  The final round reads
+    one more block for whatever remains.  The output is clamped into
+    [0,1]^d.
+
+    The noise std is sigma_r = sqrt(2)*B_r/(m*sqrt(2*rho)), the Gaussian
+    mechanism at rho for sensitivity sqrt(2)*B_r/m: two truncated 0/1 rows
+    lie in the nonnegative orthant within the radius-B_r ball, so they are
+    at most sqrt(2)*B_r apart, and replacing one row moves the block's
+    truncated mean by at most that over m.
     """
     x = np.asarray(x)
     if x.ndim != 2:
@@ -128,37 +134,29 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
                                        f"{r_max + 1} blocks of {m}")
 
     q = np.zeros(d)
-    active = list(range(d))
+    active = np.arange(d)
     u, tau = U_1, TAU_1
     rounds: list[RoundState] = []
-    r = 1
-    while u * len(active) >= 1.0 and r <= r_max:
-        block = x[(r - 1) * m: r * m]
-        b_r = math.sqrt(6.0 * u * len(active) * math.log(m * r_max / beta))
-        noisy = tmean(block[:, active], b_r) \
-            + noise.gaussian(b_r / (m * math.sqrt(2.0 * rho)), size=len(active))
-        frozen = [j for j, v in zip(active, noisy) if v >= tau]
-        for j, v in zip(active, noisy):
-            if v >= tau:
-                q[j] = v
-        rounds.append(RoundState(round=r, block=r - 1, active=list(active),
-                                 frozen=frozen, u=u, tau=tau, B=b_r,
-                                 rows=((r - 1) * m, r * m)))
-        active = [j for j in active if j not in set(frozen)]
+    for r in range(1, r_max + 2):
+        if len(active) == 0:
+            break
+        # the final sweep: one more block releases whatever is still active
+        last = u * len(active) < 1.0 or r > r_max
+        b_r = (math.sqrt(6.0 * math.log(m / beta)) if last else
+               math.sqrt(6.0 * u * len(active) * math.log(m * r_max / beta)))
+        sigma = math.sqrt(2.0) * b_r / (m * math.sqrt(2.0 * rho))
+        noisy = tmean(x[(r - 1) * m: r * m, active], b_r) \
+            + noise.gaussian(sigma, size=len(active))
+        freeze = np.ones(len(active), bool) if last else noisy >= tau
+        q[active[freeze]] = noisy[freeze]
+        rounds.append(RoundState(round=r, block=r - 1, active=active.tolist(),
+                                 frozen=active[freeze].tolist(), u=u, tau=tau,
+                                 B=b_r, rows=((r - 1) * m, r * m)))
+        if last:
+            break
+        active = active[~freeze]
         u /= 2.0
         tau /= 2.0
-        r += 1
-
-    if active:
-        block = x[(r - 1) * m: r * m]
-        b_fin = math.sqrt(6.0 * math.log(m / beta))
-        noisy = tmean(block[:, active], b_fin) \
-            + noise.gaussian(b_fin / (m * math.sqrt(2.0 * rho)), size=len(active))
-        for j, v in zip(active, noisy):
-            q[j] = v
-        rounds.append(RoundState(round=r, block=r - 1, active=list(active),
-                                 frozen=list(active), u=u, tau=tau, B=b_fin,
-                                 rows=((r - 1) * m, r * m)))
 
     if diagnostics is not None:
         diagnostics["rounds"] = rounds

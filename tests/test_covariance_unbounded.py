@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -241,6 +242,22 @@ class TestPpcRange:
         x = rows_with_sq_norms(sq)
         with pytest.raises(EstimationFailedError):
             ppc_range(x, 1.0, 1e-6, 0.05, NoiseSource.zero())
+
+    @pytest.mark.parametrize("estimate", [ppc_range, pgce_no_bound])
+    @pytest.mark.parametrize("eps, beta, named", [
+        (-1.0, 0.05, "eps must be > 0, got -1.0"),
+        (1.0, 2.0, "beta must be in (0,1), got 2.0"),
+        (1.0, math.nan, "beta must be in (0,1), got nan"),
+    ], ids=["eps=-1", "beta=2", "beta=nan"])
+    def test_bad_eps_or_beta_rejected_before_any_draw(self, estimate, eps,
+                                                      beta, named):
+        # at d = 4, beta = 2 would pass every per-round check (beta/d = 0.5)
+        x = gaussian_rows([1.0, 50.0, 1e4, 1e7], 20_000, 5)
+        noise = NoiseSource(0)
+        with pytest.raises(InvalidParameterError, match=re.escape(named)):
+            estimate(x, eps, 1e-6, beta, noise)
+        # the stream has not moved: its next draw is a fresh stream's first
+        assert noise.uniform() == NoiseSource(0).uniform()
 
     def test_budget_is_basic_composition(self):
         d = 6

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,7 +8,8 @@ from privest.cli import main as cli_main
 from privest.errors import InvalidParameterError
 from privest.harness import (CSV_COLUMNS, ExperimentConfig,
                              budget_ledger_check, configured_budget,
-                             learn_product_flip_heavy, run_experiment)
+                             learn_product_flip_heavy, run_experiment,
+                             write_report)
 from privest.noise import NoiseSource
 
 
@@ -95,6 +97,47 @@ class TestRunExperiment:
         assert len(lines) == 51
 
 
+FLIP_P = [0.9, 0.6, 0.3, 0.5, 0.1, 0.75]
+
+
+class TestReportDigests:
+    """sha256 of report.csv + report.json for one small run of each task.
+
+    The report is written with ``out`` unset, so the digest does not depend
+    on the output directory.  Both product runs use zero noise, so the
+    learner's noise scale does not enter them.
+    """
+
+    @pytest.mark.parametrize("raw, digest", [
+        (dict(task="gaussian-cov", rho=1.0, n=2000, d=3, kappa=1e4),
+         "f97b4246b323983bb9e192d8c56ca8b8f06277d6f68570f838a89ee26354ce48"),
+        (dict(task="gaussian-cov-unbounded", eps=1.0, delta=1e-6, n=20000,
+              d=2, kappa=100.0),
+         "d48e653bcfee5ee213c4320f57bb44cce48818978aa490aaffa884d3e5ad52dc"),
+        (dict(task="gaussian-mean", rho=1.0, n=4000, d=3, kappa=100.0),
+         "e711adb1c6b37a8bb6052acbfa046bdb900f580b65e35ebd2bef5f17a33cb146"),
+        (dict(task="gaussian-full", rho=1.0, n=100000, d=2, kappa=100.0,
+              mc_trials=200),
+         "d612ebadcf557ed437945147b74805b43b18716b0028b78b671e6b0e938ba6ab"),
+        (dict(task="product", rho=1.0, n=3000, d=6, m=1000, p=FLIP_P,
+              zero_noise=True),
+         "cc9f1794eba8615e998e5bcda7e8e6f99d95fa3ce9b0919bf554fe787fa2fab2"),
+        (dict(task="product", rho=1.0, n=3000, d=6, m=1000, p=FLIP_P,
+              zero_noise=True, flip_heavy=True),
+         "9541467af4852d8bbb908439cef2be1d1e2d0c47215444ba8a0febb6196fe48b"),
+        (dict(task="attack", rho=1.0, n=200, d=8, attack_trials=20,
+              mechanism="empirical-mean"),
+         "6ef91c2fed655b7d3a20f9c0cef4da1301abcf1693654a4d15cd526c53ddfead"),
+    ], ids=["gaussian-cov", "gaussian-cov-unbounded", "gaussian-mean",
+            "gaussian-full", "product", "product-flip-heavy", "attack"])
+    def test_pinned_digest(self, tmp_path, raw, digest):
+        report = run_experiment(ExperimentConfig.from_dict({**raw, "seed": 1}))
+        write_report(report, tmp_path)
+        blob = b"".join((tmp_path / name).read_bytes()
+                        for name in ("report.csv", "report.json"))
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+
 class TestFlipVote:
     # 6 columns, m = 2000 rows per block, 3 blocks for ppde's 2 rounds
     P = np.array([0.9, 0.6, 0.3, 0.5, 0.1, 0.75])
@@ -111,15 +154,15 @@ class TestFlipVote:
         return diag["flipped"], model.p
 
     @pytest.mark.parametrize("seed, flipped, p", [
-        (1, [0, 1, 3, 5], [0.8949056669956407, 0.5984613309902784,
-                           0.2929482763102853, 0.4878737666455356,
-                           0.09975264623815867, 0.7486939532448591]),
-        (2, [0, 1, 5], [0.896017190099544, 0.6002687118770813,
-                        0.30308957610623277, 0.5066857122457021,
-                        0.1051027101808237, 0.7521669992047366]),
-        (3, [0, 1, 3, 5], [0.8989112785715581, 0.5981891885458566,
-                           0.308454330846121, 0.5257751943182205,
-                           0.0970602629738987, 0.7590941639935043]),
+        (1, [0, 1, 3, 5], [0.893831059079923, 0.5996879544491274,
+                           0.29168421096939023, 0.4878214790780927,
+                           0.09944308217411345, 0.7496027184340922]),
+        (2, [0, 1, 5], [0.8943674562224212, 0.6012084431056852,
+                        0.30312667974429897, 0.505727102870638,
+                        0.10597368125546086, 0.7485082504788863]),
+        (3, [0, 1, 3, 5], [0.8984603153902512, 0.5990959801321423,
+                           0.30864252084438876, 0.5296171055984733,
+                           0.09957050608923505, 0.7612042358085664]),
     ])
     def test_pinned_outputs(self, seed, flipped, p):
         got_flipped, got_p = self.learn(self.rows(seed), NoiseSource(seed + 10))

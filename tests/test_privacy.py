@@ -180,6 +180,8 @@ FLOOR = 2 * 40.0 * 2 ** 3   # above weak_ppc_no_bound's interval floor at d = 2
     lambda: covariance_unbounded.weak_ppc_no_bound(ROWS, 1.0, 0.05, (FLOOR, NAN),
                                                    NoiseSource(0)),
     lambda: covariance_unbounded.pgce_no_bound(ROWS, NAN, 1e-6, 0.05, NoiseSource(0)),
+    lambda: covariance_unbounded.pgce_no_bound(ROWS, 1.0, 1e-6, NAN, NoiseSource(0)),
+    lambda: covariance_unbounded.ppc_range(ROWS, 1.0, 1e-6, NAN, NoiseSource(0)),
     lambda: histogram.histogram_zcdp(KEYS, 0, 3, NAN, 0.05, NoiseSource(0)),
     lambda: histogram.stable_histogram_approx_dp(KEYS, NAN, 1e-3, 0.05, NoiseSource(0)),
     lambda: gaussian_mechanism_vector(np.zeros(3), 1.0, NAN, NoiseSource(0)),
@@ -194,6 +196,7 @@ FLOOR = 2 * 40.0 * 2 ** 3   # above weak_ppc_no_bound's interval floor at d = 2
     lambda: NoiseSource(0).laplace(NAN),
 ], ids=["pgce-rho", "pgce-kappa", "weak_ppc-kappa", "weak_ppc-K",
         "weak_ppc_no_bound-a", "weak_ppc_no_bound-b", "pgce_no_bound-eps",
+        "pgce_no_bound-beta", "ppc_range-beta",
         "histogram_zcdp-rho", "stable_histogram-eps", "vector-rho",
         "vector-sensitivity", "symmetric-rho", "symmetric-sensitivity",
         "univariate_mean-rho", "univariate_mean-R", "univariate_mean-kappa",

@@ -8,7 +8,7 @@ from privest.errors import (EmptyInputError, InsufficientSamplesError,
                             InvalidParameterError)
 from privest.metrics import tv_product_exact
 from privest.noise import NoiseSource
-from privest.product import (ProductModel, num_rounds, ppde,
+from privest.product import (ProductModel, RoundState, num_rounds, ppde,
                              required_block_size, sample_product, tmean,
                              trunc)
 
@@ -133,6 +133,27 @@ class TestPpde:
         final = diag["rounds"][-1]
         assert final.active == [1]
 
+    def test_noise_calibrated_to_binary_sensitivity(self):
+        # for 0/1 rows, replacing one row moves tmean by up to sqrt(2)*B/m
+        # (TestTmean), so each round's Gaussian mechanism at rho must draw
+        # std sqrt(2)*B/(m*sqrt(2*rho))
+        class Recording(NoiseSource):
+            def gaussian(self, std, size=None):
+                stds.append(std)
+                return super().gaussian(std, size)
+
+        stds = []
+        rho, m = 0.3, 500
+        model = ProductModel(p=[0.4, 0.3, 0.1, 0.05, 0.02, 0.01, 0.2, 0.01])
+        x = sample_product(model, 3 * m, NoiseSource(9))
+        diag = {}
+        ppde(x, rho, 0.2, 0.05, Recording(10), m=m, diagnostics=diag)
+        assert len(diag["rounds"]) == len(stds) >= 2
+        for r, std in zip(diag["rounds"], stds):
+            sensitivity = math.sqrt(2.0) * r.B / m
+            assert std == pytest.approx(sensitivity / math.sqrt(2.0 * rho),
+                                        rel=1e-12)
+
     def test_all_zero_data(self):
         x = np.zeros((200, 4), dtype=int)
         est = ppde(x, 1.0, 0.2, 0.05, NoiseSource.zero(), m=50)
@@ -223,3 +244,44 @@ class TestPpde:
             est = ppde(x, 1.0, 0.15, 0.05, NoiseSource(seed), m=20_000)
             good += tv_product_exact(p, est.p) <= 0.15
         assert good >= 4
+
+
+def bernoulli_rows(p, blocks, m, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.random((blocks * m, len(p))) < np.asarray(p)).astype(np.int8)
+
+
+class TestPpdeRoundLoop:
+    """Zero-noise q and round records pinned for each way the loop ends."""
+
+    @pytest.mark.parametrize("p, seed, q, rounds", [
+        # every coordinate clears tau in round 1: no round reads block 2
+        ([0.5, 0.45, 0.6, 0.4], 1, [0.48, 0.46, 0.56, 0.4], [
+            RoundState(round=1, block=0, active=[0, 1, 2, 3],
+                       frozen=[0, 1, 2, 3], u=0.5, tau=0.1875,
+                       B=9.104562776310878, rows=(0, 50))]),
+        # d = 8 allows 2 rounds; one coordinate is left, and u * 1 < 1 ends
+        # the partitioning before round 2
+        ([0.4, 0.3, 0.5, 0.25, 0.35, 0.45, 0.3, 0.02], 2,
+         [0.4, 0.44, 0.54, 0.26, 0.38, 0.48, 0.28, 0.02], [
+            RoundState(round=1, block=0, active=[0, 1, 2, 3, 4, 5, 6, 7],
+                       frozen=[0, 1, 2, 3, 4, 5, 6], u=0.5, tau=0.1875,
+                       B=13.506356245450139, rows=(0, 50)),
+            RoundState(round=2, block=1, active=[7], frozen=[7], u=0.25,
+                       tau=0.09375, B=6.4378980788680416, rows=(50, 100))]),
+        # nothing freezes and d = 4 allows one round: r > r_max ends it
+        ([0.05, 0.02, 0.1, 0.01], 3, [0.14, 0.02, 0.12, 0.0], [
+            RoundState(round=1, block=0, active=[0, 1, 2, 3], frozen=[],
+                       u=0.5, tau=0.1875, B=9.104562776310878, rows=(0, 50)),
+            RoundState(round=2, block=1, active=[0, 1, 2, 3],
+                       frozen=[0, 1, 2, 3], u=0.25, tau=0.09375,
+                       B=6.4378980788680416, rows=(50, 100))]),
+    ], ids=["all-frozen", "u-times-active-below-1", "rounds-exhausted"])
+    def test_pinned_rounds(self, p, seed, q, rounds):
+        diag = {}
+        est = ppde(bernoulli_rows(p, 3, 50, seed), 1.0, 0.2, 0.05,
+                   NoiseSource.zero(), m=50, diagnostics=diag)
+        assert est.p.tolist() == q
+        assert diag["rounds"] == rounds
+        for r in diag["rounds"]:
+            assert all(type(j) is int for j in r.active + r.frozen)
