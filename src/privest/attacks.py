@@ -117,7 +117,7 @@ def run_tracing_attack(mechanism: Callable[[np.ndarray], np.ndarray],
         model = noise.uniform(-bound, bound, size=d)
         if kind == "product":
             u = noise.uniform(size=(2 * n, d))
-            rows = np.where(u < (1.0 + model) / 2.0, 1.0, -1.0)
+            rows = (u < (1.0 + model) / 2.0) * 2.0 - 1.0
         else:
             rows = model + noise.gaussian(1.0, size=(2 * n, d))
         x, x_out = rows[:n], rows[n:]

@@ -61,10 +61,11 @@ def _add_common(p: argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="privest",
                                  description="Private estimation experiments")
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
     sub = ap.add_subparsers(dest="command", required=True)
     for name in _SUBCOMMAND_TASK:
-        p = sub.add_parser(name)
-        _add_common(p)
+        p = sub.add_parser(name, parents=[common])
         if name == "learn-product":
             p.add_argument("--m", type=int, help="rows per learner block")
             p.add_argument("--flip-heavy", action="store_true", default=None,
@@ -79,8 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("estimate-cov", "estimate-cov-unbounded", "learn-gaussian"):
             p.add_argument("--spectrum", type=float, nargs="+",
                            help="true covariance eigenvalues (length d)")
-    p = sub.add_parser("sweep")
-    _add_common(p)
+    p = sub.add_parser("sweep", parents=[common])
     p.add_argument("--task", choices=sorted(set(_SUBCOMMAND_TASK.values())),
                    required=False, help="base task to sweep")
     p.add_argument("--sweep-n", type=int, nargs="+",

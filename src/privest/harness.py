@@ -179,9 +179,8 @@ def _attack_mechanism(cfg: ExperimentConfig, mech_src: NoiseSource):
     if name == "ppde":
         rho = cfg.rho if cfg.rho is not None else 1.0
 
-        def mech(x):
-            x01 = ((x + 1) / 2).astype(int)
-            model = product.ppde(x01, rho, cfg.alpha, cfg.beta, mech_src,
+        def mech(x):  # rows are +-1, so x > 0 are ppde's 0/1 bits
+            model = product.ppde(x > 0, rho, cfg.alpha, cfg.beta, mech_src,
                                  m=cfg.m)
             return 2.0 * model.p - 1.0
 

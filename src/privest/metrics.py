@@ -7,7 +7,7 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import InvalidParameterError, TooLargeError
+from .errors import InvalidInputError, InvalidParameterError, TooLargeError
 from .linalg import GaussianParams, mahalanobis_mat, mahalanobis_vec
 from .noise import NoiseSource
 
@@ -41,11 +41,22 @@ def tv_gaussian_mc(p: GaussianParams, q: GaussianParams, trials: int,
 
     Density ratios are evaluated in log space, so extreme mismatches
     underflow to a contribution of exactly 1 instead of overflowing.
+
+    A Q whose covariance has no Cholesky factor (singular, as a PSD
+    estimate can be) is degenerate: all its mass lies on a proper affine
+    subspace, which P gives probability 0, so the TV is exactly 1 and the
+    result is (1.0, 0.0) with no draws.  P must have a Cholesky factor.
     """
     if trials < 2:
         raise InvalidParameterError("need at least 2 trials")
-    logp, ell = _gaussian_logpdf_factory(p)
-    logq, _ = _gaussian_logpdf_factory(q)
+    try:
+        logp, ell = _gaussian_logpdf_factory(p)
+    except np.linalg.LinAlgError:
+        raise InvalidInputError("P's covariance has no Cholesky factor") from None
+    try:
+        logq, _ = _gaussian_logpdf_factory(q)
+    except np.linalg.LinAlgError:
+        return 1.0, 0.0
     z = noise.gaussian(1.0, size=(trials, p.dim))
     x = p.mean + z @ ell.T
     diff = logq(x) - logp(x)

@@ -56,8 +56,11 @@ class RoundState:
 
 
 def trunc(x: np.ndarray, B: float) -> np.ndarray:
-    """Project x onto the l2-ball of radius B (identity inside the ball)."""
-    if B < 0:
+    """Project x onto the l2-ball of radius B (identity inside the ball).
+
+    B may be any value in [0, inf]; a negative or NaN B is rejected.
+    """
+    if not B >= 0:
         raise InvalidParameterError(f"B must be >= 0, got {B}")
     x = np.asarray(x, dtype=float)
     norm = float(np.linalg.norm(x))
@@ -67,16 +70,22 @@ def trunc(x: np.ndarray, B: float) -> np.ndarray:
 
 
 def tmean(x: np.ndarray, B: float) -> np.ndarray:
-    """Mean of row-wise truncations; changing one row moves it by <= 2B/m."""
+    """Mean of row-wise truncations; changing one row moves it by <= 2B/m.
+
+    B may be any value in [0, inf]; a negative or NaN B is rejected.  A row
+    of zero or NaN norm keeps scale 1; one of infinite norm gets scale 0
+    when B is finite.
+    """
+    if not B >= 0:
+        raise InvalidParameterError(f"B must be >= 0, got {B}")
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise InvalidParameterError(f"expected 2-d data, got shape {x.shape}")
     m = x.shape[0]
     if m == 0:
         raise EmptyInputError("tmean of zero rows")
-    norms = np.linalg.norm(x, axis=1)
-    scale = np.where(norms > B, np.divide(B, norms, out=np.ones_like(norms),
-                                          where=norms > 0), 1.0)
+    with np.errstate(all="ignore"):  # fmin drops the NaN of 0/0 and B/NaN
+        scale = np.fmin(1.0, B / np.linalg.norm(x, axis=1))
     return (x * scale[:, None]).mean(axis=0)
 
 
@@ -103,27 +112,32 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
          diagnostics: Optional[dict] = None) -> ProductModel:
     """Private product-distribution estimation by recursive partitioning.
 
-    Rows must be 0/1.  The data splits into R+1 disjoint blocks of m rows.
-    Each partitioning round reads one block: it takes a truncated mean of
-    the active coordinates (truncation radius B_r set by the current bias
-    bound u_r), adds Gaussian noise, freezes coordinates whose noisy mean
-    clears tau_r, and halves u and tau for the rest.  The final round reads
-    one more block for whatever remains.  The output is clamped into
-    [0,1]^d.
+    Rows must be 0/1.  The data splits into R+1 disjoint blocks of m rows
+    (an explicit m must be >= 1).  Each partitioning round reads one block:
+    it takes a truncated mean of the active coordinates (truncation radius
+    B_r set by the current bias bound u_r), adds Gaussian noise, freezes
+    coordinates whose noisy mean clears tau_r, and halves u and tau for the
+    rest.  The final round reads one more block for whatever remains.  The
+    output is clamped into [0,1]^d.
 
     The noise std is sigma_r = sqrt(2)*B_r/(m*sqrt(2*rho)), the Gaussian
     mechanism at rho for sensitivity sqrt(2)*B_r/m: two truncated 0/1 rows
     lie in the nonnegative orthant within the radius-B_r ball, so they are
     at most sqrt(2)*B_r apart, and replacing one row moves the block's
     truncated mean by at most that over m.
+
+    Only a ``diagnostics`` dict gets the per-round ``RoundState`` records
+    (under "rounds"); without one, none are built.
     """
+    if not (rho > 0 and 0 < alpha < 1 and 0 < beta < 1):
+        raise InvalidParameterError("bad (rho, alpha, beta)")
+    if m is not None and not m >= 1:
+        raise InvalidParameterError(f"m must be >= 1, got {m}")
     x = np.asarray(x)
     if x.ndim != 2:
         raise InvalidParameterError(f"expected 2-d data, got shape {x.shape}")
     if not ((x == 0) | (x == 1)).all():
         raise InvalidParameterError("data must be 0/1 valued")
-    if not (rho > 0 and 0 < alpha < 1 and 0 < beta < 1):
-        raise InvalidParameterError("bad (rho, alpha, beta)")
     x = x.astype(float)
     n, d = x.shape
     r_max = num_rounds(d)
@@ -149,9 +163,11 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
             + noise.gaussian(sigma, size=len(active))
         freeze = np.ones(len(active), bool) if last else noisy >= tau
         q[active[freeze]] = noisy[freeze]
-        rounds.append(RoundState(round=r, block=r - 1, active=active.tolist(),
-                                 frozen=active[freeze].tolist(), u=u, tau=tau,
-                                 B=b_r, rows=((r - 1) * m, r * m)))
+        if diagnostics is not None:
+            rounds.append(RoundState(
+                round=r, block=r - 1, active=active.tolist(),
+                frozen=active[freeze].tolist(), u=u, tau=tau, B=b_r,
+                rows=((r - 1) * m, r * m)))
         if last:
             break
         active = active[~freeze]

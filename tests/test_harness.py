@@ -1,10 +1,11 @@
+import argparse
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from privest.cli import main as cli_main
+from privest.cli import build_parser, main as cli_main
 from privest.errors import InvalidParameterError
 from privest.harness import (CSV_COLUMNS, ExperimentConfig,
                              budget_ledger_check, configured_budget,
@@ -104,8 +105,9 @@ class TestReportDigests:
     """sha256 of report.csv + report.json for one small run of each task.
 
     The report is written with ``out`` unset, so the digest does not depend
-    on the output directory.  Both product runs use zero noise, so the
-    learner's noise scale does not enter them.
+    on the output directory.  The first two product runs use zero noise, so
+    the learner's noise scale does not enter them; the noisy product run and
+    the ``ppde`` attack pin the learner's noise and the attack's rows.
     """
 
     @pytest.mark.parametrize("raw, digest", [
@@ -128,8 +130,14 @@ class TestReportDigests:
         (dict(task="attack", rho=1.0, n=200, d=8, attack_trials=20,
               mechanism="empirical-mean"),
          "6ef91c2fed655b7d3a20f9c0cef4da1301abcf1693654a4d15cd526c53ddfead"),
+        (dict(task="attack", rho=0.1, n=400, d=16, m=100, attack_trials=20,
+              mechanism="ppde"),
+         "5995300bc9c065c21be92a296a536d55e3e466e3fc31ec2fe68b7ad814d49a13"),
+        (dict(task="product", rho=1.0, n=8000, d=6, m=2000, flip_heavy=True),
+         "a77fe86db314d86d70552f89285eae06b2add1ceb59f84bea6398e60c3c65be0"),
     ], ids=["gaussian-cov", "gaussian-cov-unbounded", "gaussian-mean",
-            "gaussian-full", "product", "product-flip-heavy", "attack"])
+            "gaussian-full", "product", "product-flip-heavy", "attack",
+            "attack-ppde", "product-flip-heavy-noisy"])
     def test_pinned_digest(self, tmp_path, raw, digest):
         report = run_experiment(ExperimentConfig.from_dict({**raw, "seed": 1}))
         write_report(report, tmp_path)
@@ -239,3 +247,82 @@ class TestCli:
         assert rc == 0
         text = (out / "report.csv").read_text()
         assert ",1000," in text and ",2000," in text
+
+    def test_block_size_below_one_is_exit_2(self, capsys):
+        for m in ("0", "-5"):
+            rc = cli_main(["learn-product", "--rho", "1", "--n", "4000",
+                           "--d", "4", "--m", m, "--seed", "1"])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.startswith("error:") and "Traceback" not in err
+
+    def test_singular_gaussian_estimate_reports_tv_one(self, capsys):
+        # learn_gaussian's estimate here is PSD but singular (smallest
+        # eigenvalue ~ -3e-15), so it has no Cholesky factor
+        rc = cli_main(["learn-gaussian", "--rho", "1", "--n", "20000",
+                       "--d", "3", "--seed", "1"])
+        assert rc == 0
+        assert "tv-estimate: median=1 iqr=[1, 1]" in capsys.readouterr().out
+
+
+class TestCliParser:
+    """Each subcommand's flags and what a full command line parses to."""
+
+    COMMON = {"--config": "cfg.json", "--seed": "3", "--trials": "2",
+              "--rho": "0.5", "--eps": "1.5", "--delta": "1e-6",
+              "--alpha": "0.1", "--beta": "0.05", "--n": "100", "--d": "2",
+              "--kappa": "10", "--R": "2", "--out": "o"}
+    COMMON_SWITCHES = ["--zero-noise", "--i-understand-no-privacy",
+                       "--samples-csv", "--header"]
+    COMMON_VARS = {"config": "cfg.json", "seed": 3, "trials": 2, "rho": 0.5,
+                   "eps": 1.5, "delta": 1e-06, "alpha": 0.1, "beta": 0.05,
+                   "n": 100, "d": 2, "kappa": 10.0, "R": 2.0, "out": "o",
+                   "zero_noise": True, "i_understand_no_privacy": True,
+                   "samples_csv": True, "header": True}
+    SPECTRUM = (["--spectrum", "1", "4"], {"spectrum": [1.0, 4.0]})
+    EXTRA = {
+        "estimate-cov": SPECTRUM,
+        "estimate-cov-unbounded": SPECTRUM,
+        "estimate-mean": ([], {}),
+        "learn-gaussian": SPECTRUM,
+        "learn-product": (["--m", "20", "--flip-heavy", "--p", "0.1", "0.7"],
+                          {"m": 20, "flip_heavy": True, "p": [0.1, 0.7]}),
+        "attack": (["--mechanism", "ppde", "--attack-trials", "5", "--m", "20"],
+                   {"mechanism": "ppde", "attack_trials": 5, "m": 20}),
+        "sweep": (["--task", "product", "--sweep-n", "50", "100",
+                   "--spectrum", "1", "4", "--m", "20"],
+                  {"task": "product", "sweep_n": [50, 100],
+                   "spectrum": [1.0, 4.0], "m": 20}),
+    }
+
+    @staticmethod
+    def subparsers():
+        ap = build_parser()
+        action = next(a for a in ap._actions
+                      if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    def test_option_strings(self):
+        common = set(self.COMMON) | set(self.COMMON_SWITCHES) | {"-h", "--help"}
+        got = {name: {s for a in p._actions for s in a.option_strings}
+               for name, p in self.subparsers().items()}
+        assert list(got) == list(self.EXTRA)
+        for name, (argv, _) in self.EXTRA.items():
+            own = {s for s in argv if s.startswith("--")}
+            assert got[name] == common | own, name
+
+    @pytest.mark.parametrize("name", list(EXTRA))
+    def test_full_command_line(self, name):
+        argv, extra_vars = self.EXTRA[name]
+        common = [s for kv in self.COMMON.items() for s in kv]
+        args = build_parser().parse_args(
+            [name] + common + self.COMMON_SWITCHES + argv)
+        assert vars(args) == {"command": name, **self.COMMON_VARS,
+                              **extra_vars}
+
+    @pytest.mark.parametrize("name", list(EXTRA))
+    def test_defaults_leave_config_fields_unset(self, name):
+        keys = set(self.COMMON_VARS) | set(self.EXTRA[name][1])
+        want = {"command": name, **dict.fromkeys(keys),
+                "i_understand_no_privacy": False}
+        assert vars(build_parser().parse_args([name])) == want

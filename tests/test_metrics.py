@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from privest.errors import InvalidParameterError, TooLargeError
+from privest.errors import (InvalidInputError, InvalidParameterError,
+                            TooLargeError)
 from privest.linalg import GaussianParams
 from privest.metrics import (chi2_kl_bernoulli, gaussian_param_error,
                              product_sd_upper, tv_gaussian_mc,
@@ -78,6 +79,18 @@ class TestTvGaussianMc:
         q = GaussianParams([1e6], [[1.0]])
         est, _ = tv_gaussian_mc(p, q, 1000, NoiseSource(3))
         assert est == pytest.approx(1.0)
+
+    def test_degenerate_q_is_total_variation_one(self):
+        # N(0, diag(0, 1)) lives on a line that N(0, I) gives probability 0
+        p = GaussianParams(np.zeros(2), np.eye(2))
+        q = GaussianParams(np.zeros(2), np.diag([0.0, 1.0]))
+        assert tv_gaussian_mc(p, q, 1000, NoiseSource(4)) == (1.0, 0.0)
+
+    def test_degenerate_p_rejected(self):
+        p = GaussianParams(np.zeros(2), np.diag([0.0, 1.0]))
+        q = GaussianParams(np.zeros(2), np.eye(2))
+        with pytest.raises(InvalidInputError):
+            tv_gaussian_mc(p, q, 1000, NoiseSource(4))
 
 
 class TestTvProductExact:

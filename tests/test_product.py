@@ -41,6 +41,8 @@ class TestTrunc:
     def test_negative_radius(self):
         with pytest.raises(InvalidParameterError):
             trunc(np.ones(2), -1.0)
+        with pytest.raises(InvalidParameterError):
+            trunc(np.ones(2), math.nan)
 
 
 class TestTmean:
@@ -54,6 +56,34 @@ class TestTmean:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
             tmean(np.zeros((0, 2)), 1.0)
+
+    def test_negative_radius(self):
+        for b in (-1.0, -1e-300, -math.inf, math.nan):
+            with pytest.raises(InvalidParameterError):
+                tmean(np.eye(2), b)
+
+    @staticmethod
+    def masked_reference(x, b):
+        # the masked np.where/np.divide form tmean used to compute its scale
+        x = np.asarray(x, dtype=float)
+        norms = np.linalg.norm(x, axis=1)
+        scale = np.where(norms > b, np.divide(b, norms, out=np.ones_like(norms),
+                                              where=norms > 0), 1.0)
+        return (x * scale[:, None]).mean(axis=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(
+               st.one_of(st.sampled_from([0.0, math.nan, math.inf, -math.inf,
+                                          5e-324, 1e300]),
+                         st.floats(min_value=-10, max_value=10)),
+               min_size=3, max_size=3), min_size=1, max_size=6),
+           st.sampled_from([0.0, 1e-300, 1.5, math.inf]))
+    def test_matches_masked_reference(self, rows, b):
+        x = np.array(rows)
+        with np.errstate(all="ignore"):
+            want = self.masked_reference(x, b)
+            got = tmean(x, b)
+        assert np.array_equal(got, want, equal_nan=True)
 
     def test_sensitivity_adversarial_pairs(self):
         # replacing one row moves tmean by <= 2B/m in general; for 0/1-valued
@@ -172,6 +202,24 @@ class TestPpde:
         for x in (bits.astype(bool), bits.astype(float)):
             got = ppde(x, 1.0, 0.2, 0.05, NoiseSource(0), m=5).p
             assert np.array_equal(got, want)
+
+    def test_rejects_block_size_below_one(self):
+        class NoDraws(NoiseSource):
+            def gaussian(self, std, size=None):
+                raise AssertionError("noise drawn before m was checked")
+
+        x = np.zeros((10, 2), dtype=int)
+        for m in (0, -5):
+            with pytest.raises(InvalidParameterError):
+                ppde(x, 1.0, 0.2, 0.05, NoDraws(0), m=m)
+
+    def test_output_does_not_depend_on_diagnostics(self):
+        x = bernoulli_rows([0.4, 0.3, 0.05, 0.01], 2, 50, 4)
+        diag = {}
+        want = ppde(x, 1.0, 0.2, 0.05, NoiseSource(5), m=50, diagnostics=diag)
+        got = ppde(x, 1.0, 0.2, 0.05, NoiseSource(5), m=50)
+        assert got.p.tolist() == want.p.tolist()
+        assert [r.round for r in diag["rounds"]] == [1, 2]
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamplesError):
