@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InsufficientSamplesError, InvalidParameterError
 from .noise import NoiseSource
 
 
@@ -103,7 +103,9 @@ def run_tracing_attack(mechanism: Callable[[np.ndarray], np.ndarray],
     kind="product": prior uniform on [-1/3, 1/3]^d (override with
     prior_bound), rows in {-1, +1}^d.  kind="gaussian": prior uniform on
     [-R, R]^d, rows N(mu, I).  Mechanism exceptions are recorded as
-    failures, not raised.
+    failures, not raised, except the mechanism's parameter errors
+    (``InvalidParameterError``, ``InsufficientSamplesError``): every trial
+    would fail the same way, so they propagate to the caller.
     """
     if kind not in ("product", "gaussian"):
         raise InvalidParameterError(f"unknown kind {kind!r}")
@@ -123,6 +125,8 @@ def run_tracing_attack(mechanism: Callable[[np.ndarray], np.ndarray],
         x, x_out = rows[:n], rows[n:]
         try:
             est = np.asarray(mechanism(x), dtype=float).ravel()
+        except (InvalidParameterError, InsufficientSamplesError):
+            raise
         except Exception:
             failures += 1
             continue

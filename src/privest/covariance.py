@@ -7,9 +7,9 @@ condition bound down to 1000 (``ppc``), and the full estimator that
 preconditions, estimates in the well-conditioned frame, and conjugates back
 (``pgce``).  No estimator transforms the samples: every round, and the
 final estimate, reads one cached Gram matrix through the accumulated map
-(``_Frame``), passes over the rows only when a bound on the mapped norms
-reaches a clamp, and conjugates back through the map's exact inverse in
-factored form.  ``covariance_unbounded`` runs its rounds on the same frame.
+(``_Frame``), which rereads the rows only when an ellipsoid around them
+cannot rule out a drop, and conjugates back through the map's exact inverse
+in factored form.  ``covariance_unbounded`` runs its rounds on the same frame.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import EmptyInputError, InvalidParameterError
-from .linalg import project_psd, psd_factor, sym_eigh
+from .linalg import project_psd, psd_factor, sym_eigh, sym_eigvals
 from .noise import NoiseSource
 from .privacy import PrivacyBudget, gaussian_mechanism_symmetric
 
@@ -31,13 +31,12 @@ TARGET_KAPPA = 1000.0
 ROUND_SHRINK = 0.7
 # Per-round inflation absorbing estimation error in the certificate.
 ROUND_SCALE = 1.1
-# ppc's per-round shrink of the heavy subspace (each factor scales it by
-# 1/sqrt(K)).
+# ppc's per-round shrink of the heavy subspace: each factor scales it by 1/sqrt(K).
 ROUND_K = 2.0
-# A frame's exact norm refresh passes over the rows in blocks of at most
-# this many multiply-adds.  OpenBLAS runs a product that small on the calling
-# thread; splitting each whole pass over two threads made an operation 2-3x
-# slower whenever another process kept the second core busy.
+# A frame's passes over its rows (exact norms, the ellipsoid fit) go in blocks
+# of at most this many multiply-adds.  OpenBLAS runs a product that small on
+# the calling thread; splitting each whole pass over two threads made an
+# operation 2-3x slower whenever another process kept the second core busy.
 _BLOCK_MADDS = 2 ** 18
 
 
@@ -57,9 +56,8 @@ class Preconditioner:
     """Accumulated preconditioning matrix A with per-round certificates.
 
     Each round's factor is scale * ((1/sqrt(K)) P_V + P_Vperp), symmetric;
-    A is their product (``ppc`` and ``ppc_range`` alike), meant for samples
-    as rows @ A.T.  ``A_inv`` is the product of the factors' exact inverses
-    (1/scale) * (I + (sqrt(K) - 1) V V^T), never a dense inverse.
+    A is their product (``ppc`` and ``ppc_range`` alike), for samples as
+    rows @ A.T; ``A_inv`` the product of their exact inverses, not a dense one.
     """
 
     A: np.ndarray
@@ -84,8 +82,7 @@ def clamp_threshold_sq(kappa: float, d: int, n: int, beta: float) -> float:
 
 def _validate_common(x, rho: float, beta: float, kappa: float):
     """Check the parameters; return ``x`` as a float array unless a frame."""
-    if not isinstance(x, _Frame):
-        x = np.asarray(x, dtype=float)
+    x = x if isinstance(x, _Frame) else np.asarray(x, dtype=float)
     if len(x.shape) != 2:
         raise InvalidParameterError(f"samples must be 2-d, got shape {x.shape}")
     if x.shape[0] == 0:
@@ -102,15 +99,12 @@ def _validate_common(x, rho: float, beta: float, kappa: float):
 def clamped_covariance(x: np.ndarray, b_sq: float) -> tuple[np.ndarray, int]:
     """(1/n) sum of X_i X_i^T over rows with ||X_i||^2 <= b_sq.
 
-    The divisor stays n (not |S|), matching the sensitivity analysis.
-    Returns the matrix and the number of kept rows.  The estimators read a
-    ``_Frame`` instead; this is the plain reference the tests compare with.
+    The divisor stays n (not |S|), matching the sensitivity analysis.  Returns
+    the matrix and the kept-row count: the tests' reference for ``_Frame``.
     """
-    n = x.shape[0]
-    norms = np.einsum("ij,ij->i", x, x)
-    keep = norms <= b_sq
+    keep = np.einsum("ij,ij->i", x, x) <= b_sq
     xs = x if keep.all() else x[keep]
-    cov = (xs.T @ xs) / n
+    cov = (xs.T @ xs) / x.shape[0]
     return (cov + cov.T) / 2.0, int(keep.sum())
 
 
@@ -121,21 +115,19 @@ class _Frame:
     keep), their clamped second moment S = G/n, their squared norms under
     M, the indices ``out`` of the other rows, and M with its exact inverse,
     built one factor scale * (I - c V V^T) per ``push``.  ``shape`` is the
-    samples' shape.  A factor has spectral norm scale, so ``push`` only
-    grows a bound on the largest squared norm and leaves the norms stale;
-    ``moment`` recomputes them only for a clamp the bound passes.  A frame
-    never pushed keeps exact norms.
+    samples' shape.  ``push`` leaves the norms stale; ``moment`` recomputes
+    them only if no ellipsoid [T, T^-1, r] in ``shapes``, |T x|^2 <= r for
+    every row (the last exact norms', then S's, fitted once), rules out a
+    drop.  A frame never pushed keeps exact norms and never fits.
     """
 
     def __init__(self, x: np.ndarray, clamps: list[float]):
         """``clamps[t]`` is a squared-norm clamp applied after t of ppc's
         factors (its rounds, then pgce's final estimate)."""
         self.x, self.shape = x, x.shape
-        self.rounds = 0
-        self.m = np.eye(x.shape[1])
-        self.m_inv = np.eye(x.shape[1])
-        # a bound on |M^{-1}|_2^2, so |M x|^2 >= |x|^2 / inv_norm_sq
-        self.inv_norm_sq = 1.0
+        self.rounds, self.stale, self.fitted, self.shapes = 0, False, False, {}
+        self.m, self.m_inv = np.eye(x.shape[1]), np.eye(x.shape[1])
+        self.inv_norm_sq = 1.0   # bounds |M^{-1}|_2^2: |M x|^2 >= |x|^2 / it
         # Rows past the reach are dropped by every clamp.  Keeping them out
         # of S stops a huge finite row from cancelling the rest when dropped.
         self.reach = self._reach(clamps)
@@ -148,15 +140,13 @@ class _Frame:
             self.rows, self.norms = x[keep], norms[keep]
             self.out = np.flatnonzero(~keep)
             self.out_norms = norms[self.out]
-        self.bound, self.stale = self.norms.max(initial=0.0), False
         second = (self.rows.T @ self.rows) / x.shape[0]
         self.second = (second + second.T) / 2.0
 
     def _reach(self, clamps: list[float]) -> float:
         """The largest squared norm, before any factor, that ``clamps[t]``
-        applied after t more of ppc's factors can keep; each such factor
-        multiplies |M^{-1}|^2 by at most ROUND_K / ROUND_SCALE^2, and
-        ``push`` grows ``inv_norm_sq`` by that same product."""
+        after t more of ppc's factors can keep: each multiplies |M^{-1}|^2,
+        and ``push`` ``inv_norm_sq``, by at most ROUND_K / ROUND_SCALE^2."""
         reach, inv_sq = -math.inf, self.inv_norm_sq
         for b_sq in clamps:
             reach = max(reach, b_sq * inv_sq)
@@ -175,67 +165,89 @@ class _Frame:
         new = self.x[self.out[add]]
         second = (new.T @ new) / self.shape[0]
         self.second = self.second + (second + second.T) / 2.0
-        norms = self._mapped_sq(new) if self.rounds else self.out_norms[add]
         self.rows = np.concatenate([self.rows, new])
-        self.norms = np.concatenate([self.norms, norms])
-        self.bound = max(self.bound, norms.max(initial=0.0))
+        self.norms = np.concatenate([self.norms, _sq_under(new, self.m)])
+        for shape in self.shapes.values():
+            shape[2] = max(shape[2], _sq_under(new, shape[0]).max(initial=0.0))
         self.out, self.out_norms = self.out[~add], self.out_norms[~add]
 
-    def _mapped_sq(self, rows: np.ndarray) -> np.ndarray:
-        """Exact squared norms |M x|^2 of ``rows`` (NaN or inf for a
-        non-finite row).  Before any factor, ``out_norms`` holds them."""
-        with np.errstate(invalid="ignore", over="ignore"):
-            mapped = rows @ self.m.T
-            return np.einsum("ij,ij->i", mapped, mapped)
+    def _fit(self):
+        """Fit S = U diag(w) U^T's ellipsoid, T = diag(w)^{-1/2} U^T and r the
+        largest |T x|^2, in one pass that uses the stale norms as scratch; none
+        if S is non-finite or near singular."""
+        self.fitted = True
+        if np.isfinite(self.second).all():   # LAPACK may not return on NaN
+            w, u = sym_eigh(self.second)
+            if w[0] > 1e-12 * w[-1]:
+                t = u.T / np.sqrt(w)[:, None]
+                self.shapes["fit"] = [t, u * np.sqrt(w),
+                                      _sq_under(self.rows, t, self.norms).max(initial=0.0)]
+
+    def _certified(self, b_sq: float) -> bool:
+        """Whether an ellipsoid proves that no admitted row has |M x|^2 > b_sq,
+        as |M x|^2 <= |M T^-1|_2^2 |T x|^2 <= r lambda_max(M T^-1 (M T^-1)^T)."""
+        for name in ("norms", "fit"):
+            if name == "fit" and not self.fitted:
+                self._fit()
+            if name in self.shapes:
+                _, t_inv, r = self.shapes[name]
+                p = self.m @ t_inv
+                g = p @ p.T   # non-finite only if it overflowed; LAPACK rejects it
+                # relative rounding in r, lambda_max and the exact norms: d^1.5 eps
+                # sqrt(w_max/w_min) (< 1e-5 at d <= 1000, _fit's floor) + d eps cond(M)
+                if np.isfinite(g).all() and 1.01 * r * sym_eigvals(g)[-1] <= b_sq:
+                    return True
+        return False
+
+    def _exact_norms(self) -> np.ndarray:
+        """Squared norms |M x|^2 of the admitted rows, recomputed after a push."""
+        if self.stale:
+            self.norms, self.stale = _sq_under(self.rows, self.m, self.norms), False
+        return self.norms
 
     def moment(self, b_sq: float) -> tuple[np.ndarray, int]:
         """clamped_covariance of the mapped rows: M (S - dropped x x^T / n) M^T."""
         if b_sq * self.inv_norm_sq > self.reach:
             raise InvalidParameterError(
                 f"clamp {b_sq} after {self.rounds} factors is looser than the frame covers")
-        # stale norms are at most the bound, so within it they drop nothing
-        if self.stale and self.bound > b_sq:
-            self._refresh()
-        drop = self.norms > b_sq
-        cov = self.second
-        if drop.any():
-            xd = self.rows[drop]
-            cov = cov - (xd.T @ xd) / self.shape[0]
+        cov, kept = self.second, self.rows.shape[0]
+        if not (self.stale and self._certified(b_sq)):
+            drop = self._exact_norms() > b_sq
+            if drop.any():
+                xd = self.rows[drop]
+                cov = cov - (xd.T @ xd) / self.shape[0]
+                kept -= xd.shape[0]
         if self.rounds:
             cov = self.m @ cov @ self.m.T
-        return (cov + cov.T) / 2.0, self.rows.shape[0] - int(drop.sum())
+        return (cov + cov.T) / 2.0, kept
 
     def sq_norms(self) -> np.ndarray:
         """Exact squared norms |M x|^2 of every row, the rows in S first."""
-        if self.stale:
-            self._refresh()
-        out = self._mapped_sq(self.x[self.out]) if self.rounds else self.out_norms
-        return np.concatenate([self.norms, out])
-
-    def _refresh(self):
-        """Recompute the exact squared norms |M x|^2 in one blocked pass."""
-        step = max(1, _BLOCK_MADDS // self.m.size)
-        proj = np.empty((step, self.shape[1]))
-        for lo in range(0, self.rows.shape[0], step):
-            block = self.rows[lo:lo + step]
-            p = np.matmul(block, self.m.T, out=proj[:block.shape[0]])
-            np.einsum("ij,ij->i", p, p, out=self.norms[lo:lo + step])
-        self.bound, self.stale = self.norms.max(initial=0.0), False
+        out = _sq_under(self.x[self.out], self.m) if self.rounds else self.out_norms
+        return np.concatenate([self._exact_norms(), out])
 
     def push(self, v: np.ndarray, K: float, scale: float):
         """Compose the factor scale * (I - (1 - 1/sqrt(K)) V V^T), K >= 1,
         onto M, and its inverse (1/scale) * (I + (sqrt(K) - 1) V V^T) onto
-        M^{-1}.
-
-        The factor's spectral norm is scale, so the bound on the largest
-        squared norm grows by scale^2; its inverse's is sqrt(K)/scale.
-        """
-        c = 1.0 - 1.0 / math.sqrt(K)
-        self.m = scale * (self.m - c * (v @ (v.T @ self.m)))
+        M^{-1}, whose spectral norm is sqrt(K)/scale."""
+        if not self.stale:   # the ellipsoid the exact norms give, before they go stale
+            self.shapes["norms"] = [self.m, self.m_inv, self.norms.max(initial=0.0)]
+        self.m = scale * (self.m - (1.0 - 1.0 / math.sqrt(K)) * (v @ (v.T @ self.m)))
         self.m_inv = (self.m_inv + (math.sqrt(K) - 1.0) * ((self.m_inv @ v) @ v.T)) / scale
         self.inv_norm_sq *= K / scale ** 2
-        self.bound, self.stale = self.bound * scale ** 2, True
-        self.rounds += 1
+        self.stale, self.rounds = True, self.rounds + 1
+
+
+def _sq_under(rows: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
+    """Squared norms |t x|^2 of ``rows`` (NaN or inf for a non-finite row),
+    in blocks of at most _BLOCK_MADDS multiply-adds."""
+    out = np.empty(rows.shape[0]) if out is None else out
+    step = max(1, _BLOCK_MADDS // t.size)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo in range(0, rows.shape[0], step):
+            p = rows[lo:lo + step] @ t.T
+            np.einsum("ij,ij->i", p, p, out=out[lo:lo + step])
+    return out
 
 
 def _noised_moment(x, rho: float, beta: float, kappa: float, noise: NoiseSource,
@@ -249,10 +261,8 @@ def _noised_moment(x, rho: float, beta: float, kappa: float, noise: NoiseSource,
     delta_f = 2.0 * b_sq / n
     noisy = gaussian_mechanism_symmetric(cov, delta_f, rho, noise)
     if diagnostics is not None:
-        diagnostics["kept"] = kept
-        diagnostics["dropped"] = n - kept
-        diagnostics["clamp_threshold_sq"] = b_sq
-        diagnostics["noise_sigma"] = delta_f / math.sqrt(2.0 * rho)
+        diagnostics.update(kept=kept, dropped=n - kept, clamp_threshold_sq=b_sq,
+                           noise_sigma=delta_f / math.sqrt(2.0 * rho))
     return noisy
 
 
@@ -274,25 +284,19 @@ def _split_from_noisy_cov(z: np.ndarray, kappa: float, K: float):
     Returns (V, A): the large-eigenvalue basis (d x k, possibly k=0) and
     A = (1/sqrt(K)) P_V + P_Vperp.  Ties at exactly kappa/2 go into V.
     """
-    d = z.shape[0]
     evals, evecs = sym_eigh(z)
-    big = evals >= kappa / 2.0
-    v = evecs[:, big]
+    v = evecs[:, evals >= kappa / 2.0]
     if v.shape[1] == 0:
-        return v, np.eye(d)
-    pv = v @ v.T
-    a = np.eye(d) + (1.0 / math.sqrt(K) - 1.0) * pv
+        return v, np.eye(len(z))
+    a = np.eye(len(z)) + (1.0 / math.sqrt(K) - 1.0) * (v @ v.T)
     return v, (a + a.T) / 2.0
 
 
 def weak_ppc(x, rho: float, beta: float, kappa: float, K: float,
              noise: NoiseSource) -> tuple[np.ndarray, np.ndarray]:
-    """One preconditioning step.
-
-    Runs naive_pce, collects eigenvectors with eigenvalue >= kappa/2 into V,
-    and shrinks that subspace by 1/sqrt(K).  Returns (V, A); V may be empty,
-    in which case A = I.  ``x`` is an array of samples or a ``_Frame``.
-    """
+    """One preconditioning step: naive_pce, then its eigenvectors with
+    eigenvalue >= kappa/2 as V, that subspace shrunk by 1/sqrt(K).  Returns
+    (V, A), A = I when V is empty.  ``x`` is samples or a ``_Frame``."""
     if not kappa > 1:
         raise InvalidParameterError(f"kappa must be > 1, got {kappa}")
     if not K >= 1:
@@ -320,9 +324,9 @@ def ppc(x, rho: float, beta: float, kappa: float,
     Runs T = ceil(ln(kappa/1000) / ln(1/0.7)) rounds (0 when kappa <= 1000),
     splitting rho and beta evenly.  Each round shrinks the certified bound by
     0.7 while the accumulated A keeps I <= A Sigma A^T <= 1000 I w.h.p.
-    ``x`` is an array of samples or a ``_Frame`` of them covering the
-    rounds' clamps; the rounds push their factors onto it, and A is then the
-    frame's whole map.  With no rounds, no sample is read.
+    ``x`` is an array of samples or a ``_Frame`` covering the rounds' clamps,
+    onto which they push their factors (A is its whole map).  With no
+    rounds, no sample is read.
     """
     x = _validate_common(x, rho, beta, kappa)
     n, d = x.shape
@@ -336,8 +340,7 @@ def ppc(x, rho: float, beta: float, kappa: float,
     for kap in kaps:
         v, _ = weak_ppc(frame, rho / t_rounds, beta / t_rounds, kap, ROUND_K, noise)
         frame.push(v, ROUND_K, ROUND_SCALE)
-        log.append(RoundRecord(kappa=kap, threshold=kap / 2.0,
-                               subspace_dim=int(v.shape[1]),
+        log.append(RoundRecord(kappa=kap, threshold=kap / 2.0, subspace_dim=int(v.shape[1]),
                                rho=rho / t_rounds, K=ROUND_K))
     return Preconditioner(A=frame.m, A_inv=frame.m_inv, round_log=log,
                           budget_spent=PrivacyBudget.zcdp(rho))
@@ -348,12 +351,11 @@ def pgce(x, rho: float, beta: float, kappa: float,
     """Precondition, estimate in the well-conditioned frame, conjugate back.
 
     Half the budget preconditions; the other half runs naive_pce on the
-    transformed samples at the tighter of (kappa, 1000) — after
-    preconditioning the transformed covariance is certified below both.
-    Both halves read one ``_Frame``: a new one over the array ``x``, or
-    ``x`` itself (already holding ``ppc_range``'s map), extended to cover
-    the clamps.  The noised estimate U diag(lambda) U^T is conjugated back
-    through the map's exact inverse as B B^T with B = M^{-1} U
+    transformed samples at the tighter of (kappa, 1000), both of which bound
+    the transformed covariance after preconditioning.  Both halves read one
+    ``_Frame`` (a new one over the array ``x``, or ``x`` itself, holding
+    ``ppc_range``'s map) extended to cover the clamps.  The noised estimate
+    U diag(lambda) U^T is conjugated back as B B^T, B = M^{-1} U
     diag(sqrt(max(lambda, 0))), so it is PSD by construction.
     """
     x = _validate_common(x, rho, beta, kappa)
@@ -369,9 +371,7 @@ def pgce(x, rho: float, beta: float, kappa: float,
     b = frame.m_inv @ psd_factor(noisy)
     sigma_hat = b @ b.T
     sigma_hat = (sigma_hat + sigma_hat.T) / 2.0
-    diag["rounds"] = pre.round_log
-    diag["kappa_eff"] = kappa_eff
+    diag.update(rounds=pre.round_log, kappa_eff=kappa_eff)
     # spent: rho/2 in ppc (0 if no rounds ran, but reserved regardless) + rho/2 here
-    return CovEstimate(sigma_hat=sigma_hat,
-                       budget_spent=PrivacyBudget.zcdp(rho),
+    return CovEstimate(sigma_hat=sigma_hat, budget_spent=PrivacyBudget.zcdp(rho),
                        diagnostics=diag)

@@ -67,6 +67,10 @@ class ExperimentConfig:
                 f"unknown task {self.task!r}; expected one of {TASKS}")
         if self.trials < 1:
             raise InvalidParameterError("trials must be >= 1")
+        if not self.n >= 1:
+            raise InvalidParameterError(f"n must be >= 1, got {self.n}")
+        if not self.d >= 1:
+            raise InvalidParameterError(f"d must be >= 1, got {self.d}")
         has_rho = self.rho is not None
         has_approx = self.eps is not None or self.delta is not None
         if has_rho and has_approx:

@@ -6,7 +6,7 @@ import pytest
 
 from privest.attacks import (cov_packing, fp_score_gaussian, fp_score_product,
                              run_tracing_attack)
-from privest.errors import InvalidParameterError
+from privest.errors import InsufficientSamplesError, InvalidParameterError
 from privest.noise import NoiseSource
 
 
@@ -127,6 +127,20 @@ class TestRunTracingAttack:
         assert report.failures == 7
         assert len(report.in_scores) == 0
         assert math.isnan(report.separation)
+
+    @pytest.mark.parametrize("error", [InvalidParameterError("bad m"),
+                                       InsufficientSamplesError(10, 4)])
+    def test_mechanism_parameter_errors_raised(self, error):
+        calls = []
+
+        def misconfigured(x):
+            calls.append(1)
+            raise error
+
+        with pytest.raises(type(error)):
+            run_tracing_attack(misconfigured, "product", n=4, d=2, trials=7,
+                               noise=NoiseSource(7))
+        assert len(calls) == 1
 
     def test_json_round_trip_and_summary(self):
         report = run_tracing_attack(lambda x: x.mean(axis=0), "product",

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from privest import covariance
 from privest.covariance import (ROUND_SCALE, ROUND_SHRINK, TARGET_KAPPA,
                                 _Frame, clamp_threshold_sq, clamped_covariance,
                                 naive_pce, pgce, ppc, weak_ppc)
@@ -290,24 +292,54 @@ class TestCachedFrame:
             naive_pce(frame, 1.0, 0.05, 1e4, NoiseSource.zero())
 
     def test_refreshed_norms_match_the_map(self):
-        # push leaves the norms stale; a clamp below the bound forces one
-        # blocked refresh (12 blocks of 256 rows, the last one partial),
-        # after which they must equal the norms of the rows mapped through M
+        # push leaves the norms stale; a clamp the ellipsoid cannot clear
+        # forces one blocked exact pass (12 blocks of 256 rows, the last one
+        # partial), after which they must equal the norms of the rows mapped
+        # through M, and both ellipsoids' bounds must hold every one of them
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3_000, 32)) * np.geomspace(1.0, 1e3, 32)
         frame = _Frame(x, [1e300])
         for k in (16, 3, 30):
             frame.push(np.linalg.qr(rng.standard_normal((32, k)))[0], 2.0, ROUND_SCALE)
-        bound = frame.bound
         frame.moment(1.0)
+        assert not frame.stale
         want = np.einsum("ij,ij->i", x @ frame.m.T, x @ frame.m.T)
         assert np.allclose(frame.norms, want, rtol=1e-12, atol=0.0)
-        assert bound >= frame.norms.max() and frame.bound >= frame.norms.max()
+        mahalanobis = np.einsum("ij,ij->i", x, np.linalg.solve(frame.second, x.T).T)
+        assert frame.shapes["fit"][2] == pytest.approx(mahalanobis.max(), rel=1e-9)
+        assert ellipsoid_bound(frame, "fit") >= frame.norms.max()
+        assert ellipsoid_bound(frame, "norms") >= frame.norms.max()
+
+
+def ellipsoid_bound(frame, name):
+    """r lambda_max(M T^-1 (M T^-1)^T), the bound one of the frame's
+    ellipsoids |T x|^2 <= r puts on its largest squared norm under M."""
+    _, t_inv, r = frame.shapes[name]
+    p = frame.m @ t_inv
+    return r * np.linalg.eigvalsh(p @ p.T)[-1]
+
+
+def spy_exact_passes(monkeypatch):
+    """Record, for each exact pass over a frame's rows, the frame's round
+    count and each ellipsoid's bound less the exact largest norm."""
+    passes, exact = [], _Frame._exact_norms
+
+    def spy(frame):
+        stale = frame.stale
+        bounds = {name: ellipsoid_bound(frame, name) for name in frame.shapes}
+        norms = exact(frame)
+        if stale:
+            top = norms.max(initial=0.0)
+            passes.append((frame.rounds, {k: b - top for k, b in bounds.items()}))
+        return norms
+
+    monkeypatch.setattr(_Frame, "_exact_norms", spy)
+    return passes
 
 
 class TestLazyNorms:
     """The frame's norms go stale after a push and are recomputed only when
-    the bound on them reaches a clamp."""
+    no ellipsoid around the rows rules out a drop at the clamp."""
 
     @pytest.fixture(scope="class")
     def late_rows(self):
@@ -321,25 +353,20 @@ class TestLazyNorms:
         return x
 
     def test_late_drop_matches_materialised_loop(self, late_rows, monkeypatch):
-        refreshed, slack = [], []
-        refresh = _Frame._refresh
-
-        def spy(frame):
-            grown = frame.bound
-            refresh(frame)
-            refreshed.append(frame.rounds)
-            slack.append(grown - frame.bound)   # the grown bound less the exact max
-
-        monkeypatch.setattr(_Frame, "_refresh", spy)
+        passes = spy_exact_passes(monkeypatch)
         want, dropped = materialised_ppc(late_rows, 0.5, 0.025, 1e5, NoiseSource(3))
+        passes.clear()
         pre = ppc(late_rows, 0.5, 0.025, 1e5, NoiseSource(3))
         assert np.linalg.norm(pre.A - want) <= 1e-10 * np.linalg.norm(want)
         late = np.flatnonzero(dropped.any(axis=1))
-        # the first round skips the refresh and drops nothing; rows are
-        # dropped later, each time in a round that refreshed
+        refreshed = [rounds for rounds, _ in passes]
+        # the first round skips the exact pass and drops nothing; rows are
+        # dropped later, each time in a round that ran one
         assert 0 not in refreshed and not dropped[0].any()
         assert late.size and set(late.tolist()) <= set(refreshed)
-        assert min(slack) >= 0.0
+        # S's ellipsoid was fitted, and every bound held wherever it was tried
+        assert all(set(slack) == {"norms", "fit"} for _, slack in passes)
+        assert min(min(slack.values()) for _, slack in passes) >= 0.0
 
     def test_late_drop_pgce_matches_materialised_loop(self, late_rows):
         rho, beta, kappa = 1.0, 0.05, 1e5
@@ -354,10 +381,11 @@ class TestLazyNorms:
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_unpushed_frame_never_refreshes(self, late_rows, monkeypatch):
-        def refuse(frame):
-            raise AssertionError("an unpushed frame refreshed its norms")
+        def refuse(*args):
+            raise AssertionError("an unpushed frame fitted or passed over its rows")
 
-        monkeypatch.setattr(_Frame, "_refresh", refuse)
+        monkeypatch.setattr(_Frame, "_fit", refuse)
+        monkeypatch.setattr(covariance, "_sq_under", refuse)
         clamps = [clamp_threshold_sq(k, 4, 20_000, 0.05) for k in (1e7, 1e5, 1e3, 10.0)]
         frame = _Frame(late_rows, clamps[:1])
         for b_sq in clamps:
@@ -375,3 +403,127 @@ class TestLazyNorms:
         assert np.array_equal(sigma, sigma.T)
         evals = np.linalg.eigvalsh(sigma)
         assert evals.min() >= -1e-9 * max(evals.max(), 1.0)
+
+
+def random_pushes(rng, d, pushes):
+    """Orthonormal bases V (d x k, 0 <= k <= d) for ``pushes`` factors."""
+    return [np.linalg.qr(rng.standard_normal((d, d)))[0][:, :rng.integers(0, d + 1)]
+            for _ in range(pushes)]
+
+
+def map_of(vs, d, K, scale):
+    """The map a frame composes from the factors with bases ``vs``."""
+    frame = _Frame(np.zeros((1, d)), [1.0])
+    for v in vs:
+        frame.push(v, K, scale)
+    return frame.m
+
+
+def rounding_scale(frame):
+    """|M|_2^2 tr(S): the frame computes its moment M (S - D) M^T from sums
+    over the admitted rows, so its rounding error is a modest multiple of
+    d eps times this.  1e-12 of it (~4500 eps) is the float slack below."""
+    return np.linalg.norm(frame.m, 2) ** 2 * np.trace(frame.second)
+
+
+class TestEllipsoidCertificate:
+    """Whether ``moment`` skips the pass over the rows or not, it must give
+    the clamped second moment of the rows mapped through M."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), pushes=st.integers(0, 3),
+           K=st.sampled_from([2.0, 1e4]), scale=st.sampled_from([1.0, 1.1]))
+    def test_moment_matches_mapped_reference(self, seed, pushes, K, scale):
+        rng = np.random.default_rng(seed)
+        n, d = 200, int(rng.integers(2, 7))
+        x = rng.standard_normal((n, d)) * np.sqrt(np.geomspace(1.0, 1e4, d))
+        x[:20] /= np.abs(rng.standard_normal((20, 1)))       # heavy-tailed rows
+        x[20:30] = x[30:40]                                   # duplicates
+        vs = random_pushes(rng, d, pushes)
+        m = map_of(vs, d, K, scale)
+        # row 40 at the clamp, row 41 a copy of it, row 42 at half the clamp
+        q = np.einsum("ij,ij->i", x @ m.T, x @ m.T)
+        x[40] *= math.sqrt(np.quantile(q, 0.7) / q[40])
+        x[41], x[42] = x[40], x[40] / math.sqrt(2.0)
+        mapped = x @ m.T
+        q = np.einsum("ij,ij->i", mapped, mapped)
+        b_sq = float(q[40])
+        # clamps from far above every row down to the largest row exactly
+        # and below: each must clear by the ellipsoids or by an exact pass
+        clamps = [3.0 * q.max(), 1.2 * q.max(), q.max(), np.quantile(q, 0.95), b_sq]
+
+        frame = _Frame(x, [b_sq])
+        for v in vs:
+            # a moment at the map so far, which drops rows, before each push
+            part = np.einsum("ij,ij->i", x @ frame.m.T, x @ frame.m.T)
+            frame.cover([float(np.quantile(part, 0.9))])
+            frame.moment(float(np.quantile(part, 0.9)))
+            frame.push(v, K, scale)
+        assert np.array_equal(frame.m, m)
+        frame.cover(clamps[:1])
+        for clamp in clamps:
+            cov, kept = frame.moment(float(clamp))
+            want, want_kept = clamped_covariance(mapped, float(clamp))
+            assert kept == want_kept
+            assert np.linalg.norm(cov - want) <= 1e-12 * rounding_scale(frame)
+        assert want_kept < n
+
+    def test_precond_workload_fits_once_and_never_passes(self, monkeypatch):
+        # pgce at kappa = 1e6 runs 20 rounds: the ball around the rows clears
+        # the early ones, S's ellipsoid, fitted once, every later one
+        passes = spy_exact_passes(monkeypatch)
+        fits, fit = [], _Frame._fit
+
+        def spy(frame):
+            fits.append(frame.rounds)
+            fit(frame)
+
+        monkeypatch.setattr(_Frame, "_fit", spy)
+        x = gaussian_rows(np.geomspace(1.0, 1e6, 32), 20_000, 8)
+        est = pgce(x, 1.0, 0.05, 1e6, NoiseSource(8))
+        assert len(est.diagnostics["rounds"]) == 20
+        assert len(fits) == 1 and fits[0] > 1
+        assert passes == []
+
+
+class TestFrameSensitivity:
+    """``moment`` is what the estimators release (plus noise calibrated to
+    2 b^2 / n): frames over neighbouring samples, after the same pushes and
+    cover, must give moments at most that far apart in Frobenius norm."""
+
+    REPLACEMENTS = ["nan", "inf", "-inf", "zero", "1e150", "1e300", "clamp", "duplicate"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), pushes=st.integers(0, 3),
+           K=st.sampled_from([2.0, 1e4]), scale=st.sampled_from([1.0, 1.1]),
+           kind=st.sampled_from(REPLACEMENTS))
+    def test_one_row_moves_the_moment_by_at_most_2b2_over_n(self, seed, pushes, K,
+                                                            scale, kind):
+        rng = np.random.default_rng(seed)
+        n, d = 100, 3
+        x = rng.standard_normal((n, d)) * np.sqrt([1.0, 30.0, 1e3])
+        x[:10] /= np.abs(rng.standard_normal((10, 1)))
+        vs = random_pushes(rng, d, pushes)
+        m = map_of(vs, d, K, scale)
+        q = np.einsum("ij,ij->i", x @ m.T, x @ m.T)
+        b_sq = float(np.quantile(q, 0.8))
+        y = x.copy()
+        if kind == "clamp":
+            # a row at the clamp in mapped coordinates
+            u = rng.standard_normal(d)
+            y[0] = np.linalg.solve(m, u * math.sqrt(b_sq) / np.linalg.norm(u))
+        elif kind == "duplicate":
+            y[0] = x[int(np.argmin(np.abs(q - b_sq)))]
+        else:
+            y[0] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "zero": 0.0,
+                    "1e150": 1e150, "1e300": 1e300}[kind]
+        moments, slack = [], 0.0
+        for z in (x, y):
+            frame = _Frame(z, [b_sq])
+            for v in vs:
+                frame.push(v, K, scale)
+            frame.cover([b_sq])
+            moments.append(frame.moment(b_sq)[0])
+            slack += 1e-12 * rounding_scale(frame)
+        assert np.isfinite(moments[1]).all()
+        assert np.linalg.norm(moments[0] - moments[1]) <= 2.0 * b_sq / n + slack

@@ -13,7 +13,7 @@ from privest.covariance_unbounded import (BIG_XI, BOTTOM_KEY, BUCKET_BASE,
                                           _bucket_keys, p_estimate_trace,
                                           pgce_no_bound, ppc_range,
                                           weak_ppc_no_bound)
-from privest.errors import EstimationFailedError, InvalidParameterError
+from privest.errors import EstimationFailedError, InvalidParameterError, PrivestError
 from privest.linalg import GaussianParams, sample_gaussian
 from privest.noise import NoiseSource
 from privest.privacy import zcdp_to_approx_dp
@@ -420,6 +420,17 @@ class TestOneFrame:
         want = materialised_pgce_no_bound(heavy_rows, eps, delta, beta, noise())
         got = pgce_no_bound(heavy_rows, eps, delta, beta, noise()).sigma_hat
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_overflowing_certificate_falls_back_to_the_exact_pass(self):
+        # rows at 1e100 overflow the frame's ellipsoid check, M T^-1 (M T^-1)^T;
+        # the frame must treat that as no certificate, not hand LAPACK an inf
+        # matrix (whose LinAlgError is no PrivestError)
+        x = np.random.default_rng(0).standard_normal((2_000, 4)) * 1e100
+        with np.errstate(all="ignore"):
+            try:
+                pgce_no_bound(x, 1.0, 1e-6, 0.05, NoiseSource(0))
+            except PrivestError:
+                pass
 
 
 @pytest.mark.parametrize("data_seed, noise_seed", [

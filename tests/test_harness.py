@@ -256,6 +256,40 @@ class TestCli:
             assert rc == 2
             assert err.startswith("error:") and "Traceback" not in err
 
+    def test_attack_parameter_error_is_exit_2(self, capsys):
+        # every trial would fail the same way; the attack used to count them
+        # as mechanism failures and exit 0
+        for m in ("0", "300"):
+            rc = cli_main(["attack", "--mechanism", "ppde", "--rho", "0.1",
+                           "--n", "400", "--d", "16", "--m", m,
+                           "--attack-trials", "5", "--seed", "1"])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate-cov", "--rho", "1", "--n", "2000", "--d", "0", "--kappa", "1e4"],
+        ["estimate-cov-unbounded", "--eps", "1", "--delta", "1e-6", "--n", "2000",
+         "--d", "0"],
+        ["estimate-mean", "--rho", "1", "--n", "2000", "--d", "0"],
+        ["learn-gaussian", "--rho", "1", "--n", "2000", "--d", "0"],
+        ["learn-product", "--rho", "1", "--n", "2000", "--d", "0"],
+        ["attack", "--mechanism", "empirical-mean", "--rho", "1", "--n", "50",
+         "--d", "0", "--attack-trials", "5"],
+        ["attack", "--mechanism", "ppde", "--rho", "1", "--n", "400", "--d", "0",
+         "--attack-trials", "5"],
+        ["estimate-cov", "--rho", "1", "--n", "2000", "--d", "-2", "--kappa", "1e4"],
+        ["estimate-cov", "--rho", "1", "--n", "-5", "--d", "4", "--kappa", "1e4"],
+        ["learn-product", "--rho", "1", "--n", "0", "--d", "4"],
+        ["sweep", "--task", "product", "--rho", "1", "--d", "4", "--sweep-n", "0"],
+    ])
+    def test_sample_size_or_dimension_below_one_is_exit_2(self, capsys, argv):
+        rc = cli_main(argv + ["--seed", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "must be >= 1" in err
+
     def test_singular_gaussian_estimate_reports_tv_one(self, capsys):
         # learn_gaussian's estimate here is PSD but singular (smallest
         # eigenvalue ~ -3e-15), so it has no Cholesky factor
