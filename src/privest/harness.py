@@ -71,6 +71,9 @@ class ExperimentConfig:
             raise InvalidParameterError(f"n must be >= 1, got {self.n}")
         if not self.d >= 1:
             raise InvalidParameterError(f"d must be >= 1, got {self.d}")
+        if self.sweep_n and not all(k >= 1 for k in self.sweep_n):
+            raise InvalidParameterError(
+                f"sweep_n entries must be >= 1, got {self.sweep_n}")
         has_rho = self.rho is not None
         has_approx = self.eps is not None or self.delta is not None
         if has_rho and has_approx:
@@ -231,7 +234,7 @@ def _run_trial(cfg: ExperimentConfig, seed: int, trial: int) -> dict:
 
     elif task == "product":
         p = _truth_product(cfg)
-        x = (data_src.uniform(size=(cfg.n, cfg.d)) < p).astype(np.int8)
+        x = product.sample_product(product.ProductModel(p), cfg.n, data_src)
         learn = learn_product_flip_heavy if cfg.flip_heavy else product.ppde
         diag: dict = {}
         model = learn(x, cfg.rho, cfg.alpha, cfg.beta, mech_src, m=cfg.m,

@@ -7,8 +7,8 @@ Two mechanisms:
   release threshold suppresses small noisy counts, so buckets with true
   count zero are never emitted even over an unbounded key universe.
 * ``histogram_zcdp`` — Gaussian noise on the full count vector of integer
-  keys in [lo, hi), counted with one ``bincount``, rho-zCDP; an (n, d) key
-  array votes on each column in one call.
+  keys in [lo, hi), counted block by block into one vector, rho-zCDP; an
+  (n, d) key array votes on each column in one call.
 
 Both take integer key arrays, draw their noise as one vector, one draw per
 bucket in ascending key order, and return the keys and noised frequencies as
@@ -27,6 +27,9 @@ from numpy.typing import ArrayLike
 
 from .errors import InvalidInputError, InvalidParameterError
 from .noise import NoiseSource
+
+# Keys per counting block in histogram_zcdp: 512 KiB of intp offsets.
+_COUNT_BLOCK = 1 << 16
 
 
 @dataclass
@@ -89,8 +92,9 @@ def histogram_zcdp(data: ArrayLike, lo: int, hi: int, rho: float,
                    beta: float, noise: NoiseSource) -> HistogramResult:
     """rho-zCDP histogram of integer keys in [lo, hi), Gaussian mechanism.
 
-    The keys are counted with one ``bincount``; ``keys`` is lo, ..., hi - 1,
-    one noise draw per key.  Replacing one sample moves the count vector by
+    The keys are counted in row blocks of about ``_COUNT_BLOCK`` keys, so no
+    full-size copy of them is made; ``keys`` is lo, ..., hi - 1, one noise
+    draw per key.  Replacing one sample moves the count vector by
     at most 1 in two buckets, so the l2-sensitivity of the frequency vector
     is sqrt(2)/n exactly.  (n, d) ``data`` gives (d, hi - lo) ``freqs``, one
     rho-zCDP vote per column, drawn in column order.
@@ -106,18 +110,26 @@ def histogram_zcdp(data: ArrayLike, lo: int, hi: int, rho: float,
     if not np.issubdtype(data.dtype, np.integer) or data.ndim > 2:
         raise InvalidInputError(f"keys must be 1-d or 2-d integers, got {data.dtype}")
     size = hi - lo
-    # cast while offsetting: lo may not fit the keys' dtype (int8 columns)
-    off = np.subtract(data, lo, dtype=np.intp)
-    if size <= 0 or off.min(initial=0) < 0 or off.max(initial=0) >= size:
+    in_range = data.size == 0 or lo <= int(data.min()) and int(data.max()) < hi
+    if size <= 0 or not in_range:
+        off = np.subtract(data, lo, dtype=np.intp)
         bad = np.unique(data[(off < 0) | (off >= size)])[:5]
         raise InvalidInputError(f"keys outside [{lo}, {hi}): {bad.tolist()}")
 
     shape = data.shape[1:] + (size,)
-    if data.ndim == 2:
-        off += size * np.arange(data.shape[1])  # column j counts into row j
+    cols = math.prod(shape[:-1])  # d for (n, d) keys, 1 for one column
     sigma = (math.sqrt(2.0) / n) / math.sqrt(2.0 * rho)
     draws = noise.gaussian(sigma, size=shape)
-    freqs = np.bincount(off.ravel(), minlength=math.prod(shape)).reshape(shape) / n + draws
+    # Count in row blocks of at least _COUNT_BLOCK keys and at least the
+    # count vector's length, so no full-size intp copy of the keys is made.
+    counts = np.zeros(cols * size, dtype=np.intp)
+    step = max(_COUNT_BLOCK, counts.size) // max(cols, 1)
+    shift = lo - size * np.arange(cols)  # column j counts into row j
+    for start in range(0, n, step):
+        # cast while offsetting: lo may not fit the keys' dtype (int8 columns)
+        off = np.subtract(data[start: start + step], shift, dtype=np.intp)
+        counts += np.bincount(off.ravel(), minlength=counts.size)
+    freqs = counts.reshape(shape) / n + draws
     bound = math.sqrt(2.0 * math.log(2.0 * size / beta) / rho) / n * math.sqrt(2.0)
     return HistogramResult(np.arange(lo, hi), freqs, n, bound)
 

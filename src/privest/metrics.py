@@ -129,7 +129,7 @@ def product_sd_upper(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=float).ravel()
     if p.shape != q.shape:
         raise InvalidParameterError("dimension mismatch")
-    if np.any((p < 0) | (p > 1) | (q < 0) | (q > 1)):
+    if not np.all((p >= 0) & (p <= 1) & (q >= 0) & (q <= 1)):  # NaN fails too
         raise InvalidParameterError("coordinates must lie in [0,1]")
     return float(np.abs(p - q).sum())
 

@@ -62,7 +62,15 @@ class NoiseSource:
                            zero_noise=self.zero_noise)
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
+        """Uniform draw(s) on [low, high), one 64-bit word per double.
+
+        On [0, 1) the draw is returned as is, with no scaled copy: for u in
+        [0, 1), 0.0 + 1.0*u == u exactly.  Consecutive calls read the
+        stream one call of their total size would read.
+        """
         u = self._gen.random(size)
+        if low == 0.0 and high == 1.0:
+            return u
         return low + (high - low) * u
 
     def gaussian(self, std: float, size=None):

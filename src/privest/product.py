@@ -24,6 +24,9 @@ from .privacy import PrivacyBudget
 U_1 = 0.5
 TAU_1 = 3.0 / 16.0
 
+# Uniforms per chunk in sample_product: 512 KiB of float64 at a time.
+_SAMPLE_CHUNK = 1 << 16
+
 
 @dataclass
 class ProductModel:
@@ -33,7 +36,7 @@ class ProductModel:
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=float).ravel()
-        if np.any(self.p < 0) or np.any(self.p > 1):
+        if not np.all((self.p >= 0) & (self.p <= 1)):  # NaN fails too
             raise InvalidParameterError("coordinates must lie in [0,1]")
 
     @property
@@ -112,7 +115,8 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
          diagnostics: Optional[dict] = None) -> ProductModel:
     """Private product-distribution estimation by recursive partitioning.
 
-    Rows must be 0/1.  The data splits into R+1 disjoint blocks of m rows
+    Rows must be 0/1, in any dtype; only each round's block is converted to
+    float.  The data splits into R+1 disjoint blocks of m rows
     (an explicit m must be >= 1).  Each partitioning round reads one block:
     it takes a truncated mean of the active coordinates (truncation radius
     B_r set by the current bias bound u_r), adds Gaussian noise, freezes
@@ -138,7 +142,6 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
         raise InvalidParameterError(f"expected 2-d data, got shape {x.shape}")
     if not ((x == 0) | (x == 1)).all():
         raise InvalidParameterError("data must be 0/1 valued")
-    x = x.astype(float)
     n, d = x.shape
     r_max = num_rounds(d)
     if m is None:
@@ -182,6 +185,19 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
 
 
 def sample_product(model: ProductModel, n: int, noise: NoiseSource) -> np.ndarray:
-    """n i.i.d. rows from the product of Ber(p_j)."""
-    u = noise.uniform(size=(n, model.dim))
-    return (u < model.p).astype(np.int8)
+    """n i.i.d. rows from the product of Ber(p_j), as an (n, d) int8 array.
+
+    Coordinate j is 1 where its uniform draw is below p_j.  Rows are drawn
+    in chunks of about ``_SAMPLE_CHUNK`` uniforms straight into a bool
+    buffer, so the only full-size array is the 1-byte result.  The chunks
+    read the stream one (n, d) draw would, so the rows and the stream
+    position afterwards equal those of
+    ``(noise.uniform(size=(n, d)) < p).astype(np.int8)``.
+    """
+    d = model.dim
+    out = np.empty((n, d), dtype=bool)
+    step = max(1, _SAMPLE_CHUNK // max(d, 1))
+    for start in range(0, n, step):
+        rows = out[start: start + step]
+        np.less(noise.uniform(size=rows.shape), model.p, out=rows)
+    return out.view(np.int8)

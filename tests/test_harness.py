@@ -1,10 +1,12 @@
 import argparse
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from privest import harness
 from privest.cli import build_parser, main as cli_main
 from privest.errors import InvalidParameterError
 from privest.harness import (CSV_COLUMNS, ExperimentConfig,
@@ -37,6 +39,18 @@ class TestExperimentConfig:
         assert cfg.trial_seeds() == [7, 8, 9]
         cfg2 = ExperimentConfig(task="product", rho=1.0, seeds=[5, 1, 9])
         assert cfg2.trial_seeds() == [5, 1, 9]
+
+    def test_sweep_entries_below_one_rejected_before_any_run(self, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial ran before the sweep was validated")
+
+        monkeypatch.setattr(harness, "_run_trial", no_trial)
+        for bad in ([200000, 0], [5, -1], [0]):
+            with pytest.raises(InvalidParameterError, match="sweep_n"):
+                ExperimentConfig(task="product", rho=1.0, d=4, m=100,
+                                 sweep_n=bad)
+        assert cli_main(["sweep", "--task", "product", "--rho", "1", "--d", "4",
+                         "--m", "100", "--sweep-n", "200000", "0"]) == 2
 
     def test_param_json_stable(self):
         cfg = ExperimentConfig(task="product", rho=1.0, d=6)
@@ -86,6 +100,20 @@ class TestRunExperiment:
         rep = run_experiment(cfg)
         assert {r["n"] for r in rep.rows} == {1000, 2000}
         assert any(k.startswith("n=1000:") for k in rep.aggregates)
+
+    def test_product_task_peak_memory_per_key(self):
+        # every full-size array on the product path holds one byte per key;
+        # the peak, about 6.3 bytes per key here, is the learner's float block
+        n, d = 200_000, 12
+        cfg = ExperimentConfig(task="product", rho=1.0, n=n, d=d, m=50_000,
+                               flip_heavy=True, seed=3)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * n * d
 
     def test_samples_csv_written(self, tmp_path):
         out = tmp_path / "run"
@@ -289,6 +317,24 @@ class TestCli:
         assert rc == 2
         assert err.startswith("error:") and "Traceback" not in err
         assert "must be >= 1" in err
+
+    @pytest.mark.parametrize("p", [["nan", "0.1"], ["1.5", "0.1"]])
+    def test_product_means_outside_unit_interval_exit_2_before_sampling(
+            self, capsys, monkeypatch, p):
+        draws = []
+        uniform = NoiseSource.uniform
+
+        def spy(self, *args, **kwargs):
+            draws.append(kwargs)
+            return uniform(self, *args, **kwargs)
+
+        monkeypatch.setattr(NoiseSource, "uniform", spy)
+        rc = cli_main(["learn-product", "--rho", "1", "--n", "4000", "--d", "2",
+                       "--m", "500", "--p", *p, "--seed", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "[0,1]" in err
+        assert draws == []
 
     def test_singular_gaussian_estimate_reports_tv_one(self, capsys):
         # learn_gaussian's estimate here is PSD but singular (smallest

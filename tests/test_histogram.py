@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from privest.errors import InvalidInputError, InvalidParameterError
-from privest.histogram import (HistogramResult, argmax_bucket, histogram_zcdp,
-                               stable_histogram_approx_dp)
+from privest.histogram import (_COUNT_BLOCK, HistogramResult, argmax_bucket,
+                               histogram_zcdp, stable_histogram_approx_dp)
 from privest.noise import NoiseSource
 
 
@@ -224,6 +224,34 @@ class TestHistogramZcdp:
         with pytest.raises(InvalidInputError):
             histogram_zcdp(data[:, :, None], lo, hi, 0.5, 0.05,
                            NoiseSource(seed))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64])
+    @pytest.mark.parametrize("d", [None, 5])
+    def test_block_counts_match_references(self, dtype, d):
+        # keys spanning at least three counting blocks, one column or (n, d),
+        # against the searchsorted reference (column j: one call on the same
+        # stream), with a negative lo and the out-of-range error intact
+        lo, hi = -3, 120
+        info = np.iinfo(dtype)
+        k_min, k_max = max(lo, int(info.min)), min(hi - 1, int(info.max))
+        n = 3 * _COUNT_BLOCK // (d or 1) + 11
+        shape = (n,) if d is None else (n, d)
+        data = np.random.default_rng(n).integers(k_min, k_max + 1, size=shape,
+                                                 dtype=dtype)
+        h = histogram_zcdp(data, lo, hi, 0.5, 0.05, NoiseSource(4))
+        ref = NoiseSource(4)
+        cols = [data] if d is None else [data[:, j] for j in range(d)]
+        want = [searchsorted_histogram(c, lo, hi, 0.5, 0.05, ref) for c in cols]
+        assert h.keys.tolist() == list(range(lo, hi))
+        assert np.array_equal(h.freqs, want[0].freqs if d is None else
+                              np.stack([w.freqs for w in want]))
+        assert h.accuracy_bound == want[0].accuracy_bound
+        assert h.n == n
+
+        bad = data.astype(np.int64)
+        bad.flat[-1] = hi
+        with pytest.raises(InvalidInputError, match=rf"\[{hi}\]"):
+            histogram_zcdp(bad, lo, hi, 0.5, 0.05, NoiseSource(4))
 
     def test_sensitivity_worst_case(self):
         # replacing one sample changes the exact count vector by 1 in two

@@ -177,6 +177,11 @@ class TestProductSdUpper:
         with pytest.raises(InvalidParameterError):
             product_sd_upper([1.2], [0.5])
 
+    def test_rejects_nan(self):
+        for p, q in (([np.nan, 0.1], [0.2, 0.1]), ([0.2, 0.1], [0.2, np.nan])):
+            with pytest.raises(InvalidParameterError):
+                product_sd_upper(p, q)
+
 
 class TestGaussianParamError:
     def test_exact_match(self):

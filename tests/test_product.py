@@ -8,9 +8,9 @@ from privest.errors import (EmptyInputError, InsufficientSamplesError,
                             InvalidParameterError)
 from privest.metrics import tv_product_exact
 from privest.noise import NoiseSource
-from privest.product import (ProductModel, RoundState, num_rounds, ppde,
-                             required_block_size, sample_product, tmean,
-                             trunc)
+from privest.product import (_SAMPLE_CHUNK, ProductModel, RoundState,
+                             num_rounds, ppde, required_block_size,
+                             sample_product, tmean, trunc)
 
 
 class TestTrunc:
@@ -126,11 +126,31 @@ class TestProductModel:
         with pytest.raises(InvalidParameterError):
             ProductModel(p=[0.5, 1.2])
 
+    def test_rejects_nan(self):
+        with pytest.raises(InvalidParameterError):
+            ProductModel(p=[np.nan, 0.1])
+
     def test_sampling_frequencies(self):
         model = ProductModel(p=[0.1, 0.7])
         x = sample_product(model, 50_000, NoiseSource(1))
         assert set(np.unique(x)) <= {0, 1}
         assert np.all(np.abs(x.mean(axis=0) - model.p) < 0.01)
+
+    @pytest.mark.parametrize("d", [1, 12, 300])
+    def test_chunked_draws_match_one_shot_reference(self, d):
+        # the chunks read the stream one (n, d) draw reads, and leave it at
+        # the same position
+        step = _SAMPLE_CHUNK // d
+        p = np.random.default_rng(d).uniform(size=d)
+        p[0], p[-1] = 0.0, 1.0
+        model = ProductModel(p)
+        for n in (0, 1, 3 * step, 2 * step + 7):
+            got_src, ref_src = NoiseSource(d + n), NoiseSource(d + n)
+            got = sample_product(model, n, got_src)
+            want = (ref_src.uniform(size=(n, d)) < p).astype(np.int8)
+            assert got.dtype == np.int8 and got.shape == (n, d)
+            assert np.array_equal(got, want)
+            assert got_src.uniform() == ref_src.uniform()
 
 
 class TestRounds:
