@@ -16,9 +16,8 @@ from .noise import NoiseSource
 from .privacy import (PrivacyBudget, compose_approx_dp, compose_zcdp,
                       gaussian_mechanism_symmetric, gaussian_mechanism_vector,
                       pure_dp_to_zcdp, zcdp_to_approx_dp)
-from .linalg import (GaussianParams, eigendecompose, inv_sqrt_psd,
-                     mahalanobis_mat, mahalanobis_vec, project_psd,
-                     sample_gaussian)
+from .linalg import (GaussianParams, inv_sqrt_psd, mahalanobis_mat,
+                     mahalanobis_vec, project_psd, sample_gaussian)
 from .histogram import (HistogramResult, argmax_bucket, histogram_zcdp,
                         stable_histogram_approx_dp)
 from .covariance import (CovEstimate, Preconditioner, naive_pce, pgce, ppc,
@@ -27,7 +26,7 @@ from .covariance_unbounded import (TraceEstimate, p_estimate_trace,
                                    pgce_no_bound, ppc_range,
                                    weak_ppc_no_bound)
 from .mean import MeanEstimate, learn_gaussian, naive_pme, pme, univariate_mean
-from .product import ProductModel, ppde, tmean, trunc
+from .product import ProductModel, ppde, tmean
 from .metrics import (chi2_kl_bernoulli, gaussian_param_error,
                       product_sd_upper, tv_gaussian_mc, tv_gaussian_same_cov,
                       tv_product_exact, tv_product_mc)
@@ -39,14 +38,14 @@ __version__ = "0.1.0"
 __all__ = [
     "NoiseSource", "PrivacyBudget", "compose_zcdp", "zcdp_to_approx_dp",
     "pure_dp_to_zcdp", "compose_approx_dp", "gaussian_mechanism_vector",
-    "gaussian_mechanism_symmetric", "GaussianParams", "eigendecompose",
-    "project_psd", "mahalanobis_vec", "mahalanobis_mat", "sample_gaussian",
+    "gaussian_mechanism_symmetric", "GaussianParams", "project_psd",
+    "mahalanobis_vec", "mahalanobis_mat", "sample_gaussian",
     "inv_sqrt_psd", "HistogramResult", "stable_histogram_approx_dp",
     "histogram_zcdp", "argmax_bucket", "Preconditioner", "CovEstimate",
     "naive_pce", "weak_ppc", "ppc", "pgce", "TraceEstimate",
     "p_estimate_trace", "weak_ppc_no_bound", "ppc_range", "pgce_no_bound",
     "MeanEstimate", "univariate_mean", "naive_pme", "pme", "learn_gaussian",
-    "ProductModel", "trunc", "tmean", "ppde",
+    "ProductModel", "tmean", "ppde",
     "tv_gaussian_same_cov", "tv_gaussian_mc", "tv_product_exact",
     "tv_product_mc", "chi2_kl_bernoulli", "product_sd_upper",
     "gaussian_param_error", "FingerprintReport", "fp_score_product",

@@ -100,18 +100,22 @@ def run_tracing_attack(mechanism: Callable[[np.ndarray], np.ndarray],
     single row's score, much lower variance); the per-coordinate trace
     statistic accumulates all member scores.
 
-    kind="product": prior uniform on [-1/3, 1/3]^d (override with
-    prior_bound), rows in {-1, +1}^d.  kind="gaussian": prior uniform on
-    [-R, R]^d, rows N(mu, I).  Mechanism exceptions are recorded as
-    failures, not raised, except the mechanism's parameter errors
-    (``InvalidParameterError``, ``InsufficientSamplesError``): every trial
-    would fail the same way, so they propagate to the caller.
+    kind="product": prior uniform on [-1/3, 1/3]^d (override with a
+    prior_bound in (0, 1)), rows in {-1, +1}^d.  kind="gaussian": prior
+    uniform on [-R, R]^d (R > 0; prior_bound in (0, R]), rows N(mu, I).
+    Other bounds raise ``InvalidParameterError``.  Mechanism exceptions are
+    recorded as failures, not raised, except the mechanism's parameter
+    errors (``InvalidParameterError``, ``InsufficientSamplesError``): every
+    trial would fail the same way, so they propagate to the caller.
     """
     if kind not in ("product", "gaussian"):
         raise InvalidParameterError(f"unknown kind {kind!r}")
     if trials < 1 or n < 1:
         raise InvalidParameterError("need trials >= 1 and n >= 1")
     bound = prior_bound if prior_bound is not None else (1.0 / 3.0 if kind == "product" else R)
+    if not (0 < bound < 1 if kind == "product" else R > 0 and 0 < bound <= R):
+        raise InvalidParameterError(
+            f"prior_bound {bound} is outside the {kind} score's domain (R={R})")
 
     in_scores, out_scores, lhs_vals = [], [], []
     failures = 0

@@ -162,10 +162,10 @@ def learn_product_flip_heavy(x: np.ndarray, rho: float, alpha: float,
     vote_rho = rho / 10.0
     h = histogram_zcdp(x, 0, 2, vote_rho / d, beta, noise)
     flipped = np.flatnonzero(h.freqs[:, 1] > 0.5).tolist()
-    xf = x.copy()
-    if flipped:
-        xf[:, flipped] = 1 - xf[:, flipped]
-    model = product.ppde(xf, 0.9 * rho, alpha, beta, noise, m=m,
+    if flipped:  # flip a copy: the caller's keys stay as they are
+        x = x.copy()
+        x[:, flipped] = 1 - x[:, flipped]
+    model = product.ppde(x, 0.9 * rho, alpha, beta, noise, m=m,
                          diagnostics=diagnostics)
     q = model.p.copy()
     if flipped:

@@ -80,13 +80,6 @@ class GaussianParams:
         return self.mean.shape[0]
 
 
-def eigendecompose(m: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """Eigenpairs of a symmetric matrix, eigenvalue-descending."""
-    m = _check_symmetric(m)
-    evals, evecs = sym_eigh(m)
-    return [(float(evals[i]), evecs[:, i]) for i in range(len(evals) - 1, -1, -1)]
-
-
 def project_psd(m: np.ndarray) -> np.ndarray:
     """Nearest-PSD projection: clamp negative eigenvalues to zero."""
     m = _check_symmetric(m)

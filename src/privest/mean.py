@@ -217,7 +217,8 @@ def learn_gaussian(x: np.ndarray, rho: float, alpha: float, beta: float,
     if x.ndim != 2:
         raise InvalidParameterError(f"samples must be 2-d, got shape {x.shape}")
     n2 = (x.shape[0] // 2) * 2
-    z = (x[1:n2:2] - x[0:n2:2]) / math.sqrt(2.0)
-    cov_est = pgce(z, rho / 2.0, beta / 2.0, kappa, noise)
+    # no name holds the pairs, so they are freed before pme runs
+    cov_est = pgce((x[1:n2:2] - x[0:n2:2]) / math.sqrt(2.0), rho / 2.0,
+                   beta / 2.0, kappa, noise)
     mean_est = pme(x, rho / 4.0, alpha, beta / 2.0, R, kappa, noise)
     return mean_est, cov_est

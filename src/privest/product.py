@@ -26,6 +26,8 @@ TAU_1 = 3.0 / 16.0
 
 # Uniforms per chunk in sample_product: 512 KiB of float64 at a time.
 _SAMPLE_CHUNK = 1 << 16
+# Values per block in tmean: 64 KiB of float64 at a time.
+_TMEAN_BLOCK = 1 << 13
 
 
 @dataclass
@@ -58,38 +60,36 @@ class RoundState:
     rows: tuple  # [start, stop) row range read this round
 
 
-def trunc(x: np.ndarray, B: float) -> np.ndarray:
-    """Project x onto the l2-ball of radius B (identity inside the ball).
-
-    B may be any value in [0, inf]; a negative or NaN B is rejected.
-    """
-    if not B >= 0:
-        raise InvalidParameterError(f"B must be >= 0, got {B}")
-    x = np.asarray(x, dtype=float)
-    norm = float(np.linalg.norm(x))
-    if norm <= B or norm == 0.0:
-        return x.copy()
-    return (B / norm) * x
-
-
 def tmean(x: np.ndarray, B: float) -> np.ndarray:
     """Mean of row-wise truncations; changing one row moves it by <= 2B/m.
 
     B may be any value in [0, inf]; a negative or NaN B is rejected.  A row
     of zero or NaN norm keeps scale 1; one of infinite norm gets scale 0
-    when B is finite.
+    when B is finite.  Rows of any dtype are converted, truncated and summed
+    in blocks of ``_TMEAN_BLOCK`` values through one float buffer whose
+    first row carries the running sums.  numpy's axis-0 sum adds row by row,
+    so this is ``(x * scale[:, None]).mean(axis=0)`` bit for bit; one column
+    is one pairwise sum, so it is taken whole.
     """
     if not B >= 0:
         raise InvalidParameterError(f"B must be >= 0, got {B}")
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     if x.ndim != 2:
         raise InvalidParameterError(f"expected 2-d data, got shape {x.shape}")
-    m = x.shape[0]
+    m, d = x.shape
     if m == 0:
         raise EmptyInputError("tmean of zero rows")
+    step = m if d < 2 else max(1, _TMEAN_BLOCK // d)
+    buf = np.empty((min(step, m) + 1, d))
     with np.errstate(all="ignore"):  # fmin drops the NaN of 0/0 and B/NaN
-        scale = np.fmin(1.0, B / np.linalg.norm(x, axis=1))
-    return (x * scale[:, None]).mean(axis=0)
+        for start in range(0, m, step):
+            lo = 1 if start else 0  # the first block has no running sum yet
+            rows = buf[lo: lo + min(step, m - start)]
+            rows[...] = x[start: start + step]
+            norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
+            rows *= np.fmin(1.0, B / norms)[:, None]
+            np.add.reduce(buf[:lo + len(rows)], axis=0, out=buf[0])
+    return buf[0] / m
 
 
 def required_block_size(d: int, rho: float, alpha: float, beta: float,
@@ -115,14 +115,13 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
          diagnostics: Optional[dict] = None) -> ProductModel:
     """Private product-distribution estimation by recursive partitioning.
 
-    Rows must be 0/1, in any dtype; only each round's block is converted to
-    float.  The data splits into R+1 disjoint blocks of m rows
-    (an explicit m must be >= 1).  Each partitioning round reads one block:
-    it takes a truncated mean of the active coordinates (truncation radius
-    B_r set by the current bias bound u_r), adds Gaussian noise, freezes
-    coordinates whose noisy mean clears tau_r, and halves u and tau for the
-    rest.  The final round reads one more block for whatever remains.  The
-    output is clamped into [0,1]^d.
+    Rows must be 0/1 in any dtype; integers are checked in their own dtype.
+    The data splits into R+1 disjoint blocks of m rows (an explicit m must
+    be >= 1).  Each round reads one block: it takes a truncated mean of the
+    active coordinates (truncation radius B_r set by the current bias bound
+    u_r), adds Gaussian noise, freezes coordinates whose noisy mean clears
+    tau_r, and halves u and tau for the rest.  The final round reads one
+    more block for whatever remains.  The output is clamped into [0,1]^d.
 
     The noise std is sigma_r = sqrt(2)*B_r/(m*sqrt(2*rho)), the Gaussian
     mechanism at rho for sensitivity sqrt(2)*B_r/m: two truncated 0/1 rows
@@ -140,7 +139,11 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
     x = np.asarray(x)
     if x.ndim != 2:
         raise InvalidParameterError(f"expected 2-d data, got shape {x.shape}")
-    if not ((x == 0) | (x == 1)).all():
+    if x.dtype.kind in "iu":  # integers are compared in their own dtype
+        binary = x.min(initial=0) >= 0 and x.max(initial=0) <= 1
+    else:  # bools need no check
+        binary = x.dtype == bool or ((x == 0) | (x == 1)).all()
+    if not binary:
         raise InvalidParameterError("data must be 0/1 valued")
     n, d = x.shape
     r_max = num_rounds(d)

@@ -159,6 +159,31 @@ class TestRunTracingAttack:
         with pytest.raises(InvalidParameterError):
             run_tracing_attack(lambda x: x, "product", 0, 2, 1, NoiseSource(0))
 
+    @pytest.mark.parametrize("kind, R, bound", [
+        ("product", 1.0, 2.0), ("product", 1.0, 1.0), ("product", 1.0, -0.5),
+        ("product", 1.0, 0.0), ("product", 1.0, math.nan),
+        ("gaussian", 1.0, 1.5), ("gaussian", 1.0, 0.0),
+        ("gaussian", 1.0, -0.5), ("gaussian", 1.0, math.nan),
+        ("gaussian", 0.0, None), ("gaussian", -1.0, None),
+        ("gaussian", math.nan, None)])
+    def test_prior_bound_outside_score_domain_rejected(self, kind, R, bound):
+        # the product score needs |p_j| < 1 and the Gaussian one |mu_j| <= R
+        def mechanism(x):
+            raise AssertionError("the mechanism ran on a rejected prior")
+
+        with pytest.raises(InvalidParameterError):
+            run_tracing_attack(mechanism, kind, 4, 2, 1, NoiseSource(0),
+                               R=R, prior_bound=bound)
+
+    @pytest.mark.parametrize("kind, R, bound", [
+        ("product", 1.0, 0.999), ("product", 5.0, 0.5),
+        ("gaussian", 2.0, 2.0), ("gaussian", 2.0, 1e-9)])
+    def test_prior_bound_inside_score_domain_accepted(self, kind, R, bound):
+        report = run_tracing_attack(lambda x: x.mean(axis=0), kind, 4, 2, 3,
+                                    NoiseSource(0), R=R, prior_bound=bound)
+        assert report.meta["prior_bound"] == bound
+        assert math.isfinite(report.separation)
+
 
 class TestCovPacking:
     def test_entries_and_symmetry(self):

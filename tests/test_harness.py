@@ -102,8 +102,10 @@ class TestRunExperiment:
         assert any(k.startswith("n=1000:") for k in rep.aggregates)
 
     def test_product_task_peak_memory_per_key(self):
-        # every full-size array on the product path holds one byte per key;
-        # the peak, about 6.3 bytes per key here, is the learner's float block
+        # every full-size array on the product path holds one byte per key,
+        # and tmean streams its float blocks, so the peak is the int8 keys, a
+        # flipped copy of them and the round's 1-byte block: about 1.5 bytes
+        # per key here
         n, d = 200_000, 12
         cfg = ExperimentConfig(task="product", rho=1.0, n=n, d=d, m=50_000,
                                flip_heavy=True, seed=3)
@@ -113,7 +115,7 @@ class TestRunExperiment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 7 * n * d
+        assert peak <= 2 * n * d
 
     def test_samples_csv_written(self, tmp_path):
         out = tmp_path / "run"
@@ -213,6 +215,32 @@ class TestFlipVote:
         x = np.column_stack([rng.permutation(np.arange(n) < k) for k in ones])
         flipped, _ = self.learn(x.astype(np.int8), NoiseSource.zero())
         assert flipped == [1, 3, 5]
+
+    def spy_on_ppde(self, monkeypatch):
+        seen = []
+        ppde = harness.product.ppde
+
+        def spy(x, *args, **kwargs):
+            seen.append(x)
+            return ppde(x, *args, **kwargs)
+
+        monkeypatch.setattr(harness.product, "ppde", spy)
+        return seen
+
+    def test_keys_copied_only_when_a_column_flips(self, monkeypatch):
+        seen = self.spy_on_ppde(monkeypatch)
+        light = self.rows(5) & (self.rows(6) == 0)  # every column below 1/2
+        assert self.learn(light, NoiseSource.zero())[0] == []
+        assert seen.pop() is light
+        x = self.rows(1)
+        before = x.copy()
+        flipped, _ = self.learn(x, NoiseSource.zero())
+        got = seen.pop()
+        kept = [j for j in range(self.P.size) if j not in flipped]
+        assert flipped and kept and got is not x
+        assert np.array_equal(x, before)
+        assert np.array_equal(got[:, flipped], 1 - before[:, flipped])
+        assert np.array_equal(got[:, kept], before[:, kept])
 
     def test_key_dtype_does_not_change_the_model(self):
         want_flipped, want_p = self.learn(self.rows(4), NoiseSource(14))

@@ -264,6 +264,32 @@ class TestHistogramZcdp:
         fb = np.array([data_b.count(k) / n for k in universe])
         assert np.linalg.norm(fa - fb) == pytest.approx(math.sqrt(2.0) / n)
 
+    @pytest.mark.parametrize("shape", [(40,), (40, 6)],
+                             ids=["one-column", "flip-vote-keys"])
+    def test_neighbouring_inputs_move_each_column_by_sqrt2_over_n(self,
+                                                                  shape):
+        # the flip vote's release, on int8 0/1 keys: replace row i with its
+        # complement, with a duplicate of row j, or with itself
+        rng = np.random.default_rng(12)
+        x = rng.integers(0, 2, size=shape).astype(np.int8)
+        n = shape[0]
+        bound = math.sqrt(2.0) / n
+
+        def freqs(keys):
+            h = histogram_zcdp(keys, 0, 2, 0.5, 0.05, NoiseSource.zero())
+            return h.freqs.reshape(-1, 2)  # one row of frequencies per column
+
+        base = freqs(x)
+        for i, j in [(0, 1), (7, 3), (n - 1, 0), (5, 5)]:
+            for new in (1 - x[i], x[j], x[i]):
+                y = x.copy()
+                y[i] = new
+                moved = np.linalg.norm(freqs(y) - base, axis=1)
+                changed = np.atleast_1d(y[i] != x[i])
+                assert np.all(moved <= bound * (1 + 1e-12))
+                assert np.allclose(moved[changed], bound, rtol=1e-12)
+                assert np.all(moved[~changed] == 0.0)
+
     def test_accuracy_monte_carlo(self):
         n, rho, beta = 2000, 0.5, 0.05
         universe = list(range(40))

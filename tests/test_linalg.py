@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from privest.errors import InvalidInputError, SingularMatrixError
-from privest.linalg import (GaussianParams, eigendecompose, inv_sqrt_psd,
+from privest.linalg import (GaussianParams, _check_symmetric, inv_sqrt_psd,
                             mahalanobis_mat, mahalanobis_vec, project_psd,
-                            sample_gaussian)
+                            sample_gaussian, sym_eigh)
 from privest.noise import NoiseSource
 from privest.privacy import sample_gue
 
@@ -20,6 +20,13 @@ def random_pd(d, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(d, d))
     return a @ a.T + 0.5 * np.eye(d)
+
+
+def eigendecompose(m):
+    """Eigenpairs, eigenvalue-descending, from the checked sym_eigh that
+    project_psd and psd_factor use."""
+    evals, evecs = sym_eigh(_check_symmetric(m))
+    return [(float(evals[i]), evecs[:, i]) for i in range(len(evals) - 1, -1, -1)]
 
 
 class TestEigendecompose:

@@ -8,9 +8,29 @@ from privest.errors import (EmptyInputError, InsufficientSamplesError,
                             InvalidParameterError)
 from privest.metrics import tv_product_exact
 from privest.noise import NoiseSource
-from privest.product import (_SAMPLE_CHUNK, ProductModel, RoundState,
-                             num_rounds, ppde, required_block_size,
-                             sample_product, tmean, trunc)
+from privest.product import (_SAMPLE_CHUNK, _TMEAN_BLOCK, ProductModel,
+                             RoundState, num_rounds, ppde,
+                             required_block_size, sample_product, tmean)
+
+
+def trunc(x, B):
+    """Reference for one row of tmean: project x onto the l2-ball of radius
+    B (identity inside the ball); a negative or NaN B is rejected."""
+    if not B >= 0:
+        raise InvalidParameterError(f"B must be >= 0, got {B}")
+    x = np.asarray(x, dtype=float)
+    norm = float(np.linalg.norm(x))
+    if norm <= B or norm == 0.0:
+        return x.copy()
+    return (B / norm) * x
+
+
+def whole_block_tmean(x, b):
+    """tmean before it streamed its rows: whole-array float copies."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        scale = np.fmin(1.0, b / np.linalg.norm(x, axis=1))
+        return (x * scale[:, None]).mean(axis=0)
 
 
 class TestTrunc:
@@ -84,6 +104,57 @@ class TestTmean:
             want = self.masked_reference(x, b)
             got = tmean(x, b)
         assert np.array_equal(got, want, equal_nan=True)
+
+    def test_matches_per_row_reference(self):
+        rng = np.random.default_rng(11)
+        for b in (0.0, 0.5, 2.0, math.inf):
+            x = rng.normal(size=(50, 4)) * rng.choice([0.1, 1.0, 10.0],
+                                                      size=(50, 1))
+            want = np.mean([trunc(row, b) for row in x], axis=0)
+            assert np.allclose(tmean(x, b), want, rtol=1e-12, atol=1e-15)
+
+    DIMS = [1, 2, 12, _TMEAN_BLOCK + 5]
+    SIZES = ["one", "block-1", "block", "block+1", "blocks"]
+    RADII = [0.0, 1e-300, 1.5, math.inf]
+
+    @staticmethod
+    def rows(d, size, dtype, seed, specials):
+        # m at one row, at the block's row count and one either side of it,
+        # and at several blocks plus a remainder; past the block size in d,
+        # each block is one row
+        step = max(1, _TMEAN_BLOCK // d)
+        m = {"one": 1, "block-1": max(1, step - 1), "block": step,
+             "block+1": step + 1, "blocks": 3 * step + 2}[size]
+        rng = np.random.default_rng(seed)
+        if dtype is not float:
+            lo = 0 if dtype is bool else -2
+            return rng.integers(lo, 2, size=(m, d)).astype(dtype)
+        x = rng.normal(size=(m, d)) * rng.choice([1e-3, 1.0, 1e5], size=(m, 1))
+        for value, row in zip(specials, rng.integers(0, m, size=len(specials))):
+            x[row] = value
+        return x
+
+    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("size", SIZES)
+    def test_every_block_boundary_matches_whole_block_formula(self, d, size):
+        for specials in ([], [1e300], [-math.inf], [math.nan]):
+            x = self.rows(d, size, float, d, specials)
+            for b in self.RADII:
+                assert np.array_equal(tmean(x, b), whole_block_tmean(x, b),
+                                      equal_nan=True)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(DIMS), st.sampled_from(SIZES),
+           st.sampled_from([bool, np.int8, float]),
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.lists(st.sampled_from([math.nan, math.inf, -math.inf, 1e300]),
+                    max_size=3),
+           st.sampled_from(RADII))
+    def test_streamed_blocks_match_whole_block_formula(
+            self, d, size, dtype, seed, specials, b):
+        x = self.rows(d, size, dtype, seed, specials)
+        assert np.array_equal(tmean(x, b), whole_block_tmean(x, b),
+                              equal_nan=True)
 
     def test_sensitivity_adversarial_pairs(self):
         # replacing one row moves tmean by <= 2B/m in general; for 0/1-valued
@@ -215,6 +286,27 @@ class TestPpde:
             x[3, 1] = bad
             with pytest.raises(InvalidParameterError):
                 ppde(x, 1.0, 0.2, 0.05, NoiseSource(0), m=5)
+
+    @pytest.mark.parametrize("dtype, values", [
+        (np.int8, [1, 2, -1, 127, -128]), (np.uint8, [1, 2, 255]),
+        (np.int64, [1, 2, -1]), (float, [1.0, -0.0, 0.5, math.nan]),
+        (bool, [True])])
+    def test_binary_check_accepts_what_the_float_check_did(self, dtype,
+                                                           values):
+        # integers are checked by min/max in their own dtype and bools not
+        # at all; the accepted set is still ((x == 0) | (x == 1)).all()
+        for v in values:
+            x = np.zeros((10, 2), dtype=dtype)
+            x[3, 1] = v
+            if ((x == 0) | (x == 1)).all():
+                ppde(x, 1.0, 0.2, 0.05, NoiseSource(0), m=5)
+            else:
+                with pytest.raises(InvalidParameterError):
+                    ppde(x, 1.0, 0.2, 0.05, NoiseSource(0), m=5)
+        # no rows: the check passes and the block count fails, as before
+        with pytest.raises(InsufficientSamplesError):
+            ppde(np.zeros((0, 2), dtype=dtype), 1.0, 0.2, 0.05,
+                 NoiseSource(0), m=5)
 
     def test_accepts_bool_and_float_bits(self):
         bits = sample_product(ProductModel(p=[0.3, 0.6]), 40, NoiseSource(4))
