@@ -2,7 +2,7 @@
 
 Highlights:
 
-* :mod:`privest.privacy` — budget algebra and the Gaussian mechanism.
+* :mod:`privest.privacy` — budgets and the one Gaussian mechanism.
 * :mod:`privest.covariance` — recursive private preconditioning and
   covariance estimation for a known condition bound.
 * :mod:`privest.covariance_unbounded` — the condition-number-free variant.
@@ -13,9 +13,9 @@ Highlights:
 """
 
 from .noise import NoiseSource
-from .privacy import (PrivacyBudget, compose_approx_dp, compose_zcdp,
+from .privacy import (PrivacyBudget, compose_approx_dp,
                       gaussian_mechanism_symmetric, gaussian_mechanism_vector,
-                      pure_dp_to_zcdp, zcdp_to_approx_dp)
+                      zcdp_to_approx_dp)
 from .linalg import (GaussianParams, inv_sqrt_psd, mahalanobis_mat,
                      mahalanobis_vec, project_psd, sample_gaussian)
 from .histogram import (HistogramResult, argmax_bucket, histogram_zcdp,
@@ -36,8 +36,8 @@ from .attacks import (FingerprintReport, cov_packing, fp_score_gaussian,
 __version__ = "0.1.0"
 
 __all__ = [
-    "NoiseSource", "PrivacyBudget", "compose_zcdp", "zcdp_to_approx_dp",
-    "pure_dp_to_zcdp", "compose_approx_dp", "gaussian_mechanism_vector",
+    "NoiseSource", "PrivacyBudget", "zcdp_to_approx_dp",
+    "compose_approx_dp", "gaussian_mechanism_vector",
     "gaussian_mechanism_symmetric", "GaussianParams", "project_psd",
     "mahalanobis_vec", "mahalanobis_mat", "sample_gaussian",
     "inv_sqrt_psd", "HistogramResult", "stable_histogram_approx_dp",

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import EmptyInputError, InvalidParameterError
 from .linalg import project_psd, psd_factor, sym_eigh, sym_eigvals
 from .noise import NoiseSource
-from .privacy import PrivacyBudget, gaussian_mechanism_symmetric
+from .privacy import PrivacyBudget, gaussian_mechanism_symmetric, gaussian_sigma
 
 # Certified condition bound at which the preconditioning recursion stops.
 TARGET_KAPPA = 1000.0
@@ -262,7 +262,7 @@ def _noised_moment(x, rho: float, beta: float, kappa: float, noise: NoiseSource,
     noisy = gaussian_mechanism_symmetric(cov, delta_f, rho, noise)
     if diagnostics is not None:
         diagnostics.update(kept=kept, dropped=n - kept, clamp_threshold_sq=b_sq,
-                           noise_sigma=delta_f / math.sqrt(2.0 * rho))
+                           noise_sigma=gaussian_sigma(delta_f, rho))
     return noisy
 
 
@@ -278,18 +278,11 @@ def naive_pce(x, rho: float, beta: float, kappa: float,
     return project_psd(_noised_moment(x, rho, beta, kappa, noise, diagnostics))
 
 
-def _split_from_noisy_cov(z: np.ndarray, kappa: float, K: float):
-    """Threshold the eigenstructure of a (noisy) covariance at kappa/2.
-
-    Returns (V, A): the large-eigenvalue basis (d x k, possibly k=0) and
-    A = (1/sqrt(K)) P_V + P_Vperp.  Ties at exactly kappa/2 go into V.
-    """
+def _split_from_noisy_cov(z: np.ndarray, kappa: float) -> np.ndarray:
+    """The eigenvectors of a (noisy) covariance with eigenvalue >= kappa/2,
+    as a d x k basis V (possibly k = 0).  Ties at exactly kappa/2 go into V."""
     evals, evecs = sym_eigh(z)
-    v = evecs[:, evals >= kappa / 2.0]
-    if v.shape[1] == 0:
-        return v, np.eye(len(z))
-    a = np.eye(len(z)) + (1.0 / math.sqrt(K) - 1.0) * (v @ v.T)
-    return v, (a + a.T) / 2.0
+    return evecs[:, evals >= kappa / 2.0]
 
 
 def weak_ppc(x, rho: float, beta: float, kappa: float, K: float,
@@ -301,8 +294,9 @@ def weak_ppc(x, rho: float, beta: float, kappa: float, K: float,
         raise InvalidParameterError(f"kappa must be > 1, got {kappa}")
     if not K >= 1:
         raise InvalidParameterError(f"K must be >= 1, got {K}")
-    z = naive_pce(x, rho, beta, kappa, noise)
-    return _split_from_noisy_cov(z, kappa, K)
+    v = _split_from_noisy_cov(naive_pce(x, rho, beta, kappa, noise), kappa)
+    a = np.eye(len(v)) + (1.0 / math.sqrt(K) - 1.0) * (v @ v.T)
+    return v, (a + a.T) / 2.0
 
 
 def _round_clamps(n: int, d: int, beta: float, kappa: float) -> tuple[list, list]:

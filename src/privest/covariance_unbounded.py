@@ -28,8 +28,8 @@ from .errors import (EmptyInputError, EstimationFailedError,
                      InvalidParameterError)
 from .histogram import argmax_bucket, stable_histogram_approx_dp
 from .noise import NoiseSource
-from .privacy import (PrivacyBudget, compose_approx_dp, sample_gue,
-                      zcdp_to_approx_dp)
+from .privacy import (PrivacyBudget, compose_approx_dp, gaussian_sigma,
+                      sample_gue, zcdp_to_approx_dp)
 
 # Bucket base for the norm vote.  Needs C > 1 + 4*ln(10); 16 is the next
 # power of two, so bucket indices are exact in binary.
@@ -100,7 +100,8 @@ def p_estimate_trace(x, eps: float, delta: float, beta: float,
     best = argmax_bucket(hist, 0.25)
     if best is None:
         return None
-    t = BUCKET_BASE ** best
+    with np.errstate(over="ignore"):  # BUCKET_BASE**256 is past the largest double
+        t = float(np.float64(BUCKET_BASE) ** best)
     return TraceEstimate(T=t, C=BUCKET_BASE, r=best,
                          certificate=(XI * t / d, BIG_XI * d * t))
 
@@ -114,9 +115,10 @@ def weak_ppc_no_bound(x, rho: float, beta: float,
     one-step preconditioning with K = kappa/d^2 and an even share of the
     budget sized for the worst-case sweep length.  Every attempt reads the
     same cached second moment through the frame's map, and only the noise
-    is redrawn.  Returns the first (V, A) with non-empty V for a sample
-    array, (V, K) for a ``_Frame`` (whose caller pushes the factor), or
-    None if the sweep exhausts.
+    is redrawn.  Returns the first (V, K) with non-empty V, whose factor
+    (1/sqrt(K)) P_V + P_Vperp the caller applies (``ppc_range`` pushes it
+    onto its frame), or None if the sweep exhausts.  ``x`` is an array of
+    samples or a ``_Frame``.
     """
     frame = _frame(x)
     n, d = frame.shape
@@ -139,11 +141,10 @@ def weak_ppc_no_bound(x, rho: float, beta: float,
     while kappa > a / 2.0:
         b_sq = clamp_threshold_sq(kappa, d, n, beta_step)
         cov, _ = frame.moment(b_sq)
-        sigma = (2.0 * b_sq / n) / math.sqrt(2.0 * rho_step)
-        z = cov + sample_gue(d, sigma, noise)
-        v, a_mat = _split_from_noisy_cov(z, kappa, K=kappa / d ** 2)
+        z = cov + sample_gue(d, gaussian_sigma(2.0 * b_sq / n, rho_step), noise)
+        v = _split_from_noisy_cov(z, kappa)
         if v.shape[1] > 0:
-            return (v, kappa / d ** 2) if frame is x else (v, a_mat)
+            return v, kappa / d ** 2
         kappa *= SWEEP_SHRINK
     return None
 
@@ -183,6 +184,9 @@ def ppc_range(x, eps: float, delta: float, beta: float,
                 "trace vote returned bottom mid-run; rerun or raise n")
         a_j = XI * est.T
         b_j = BIG_XI * d * est.T
+        if not math.isfinite(b_j):  # a_j <= b_j; reads only the released vote
+            raise EstimationFailedError(
+                f"trace vote's interval [{a_j}, {b_j}] is not finite; rescale the rows")
         if a_j < FLOOR_COEFF * d ** 3:
             break
         out = weak_ppc_no_bound(frame, rho_r, beta_r, (a_j, b_j), noise)
@@ -216,6 +220,9 @@ def pgce_no_bound(x, eps: float, delta: float, beta: float,
     pre = ppc_range(frame, eps, delta, beta, noise)
     rho = eps ** 2 / (8.0 * math.log(1.0 / delta))
     inner = pgce(frame, rho, beta, pre.kappa_star, noise)
+    if not np.isfinite(inner.sigma_hat).all():  # post-processing of the release
+        raise EstimationFailedError(
+            "covariance estimate overflowed to a non-finite value; rescale the rows")
     eps_spent, delta_spent = compose_approx_dp(
         [(pre.budget_spent.eps, pre.budget_spent.delta),
          zcdp_to_approx_dp(rho, delta)])

@@ -6,14 +6,15 @@ Two mechanisms:
   histogram.  Only buckets that actually occur get Laplace noise, and a
   release threshold suppresses small noisy counts, so buckets with true
   count zero are never emitted even over an unbounded key universe.
-* ``histogram_zcdp`` — Gaussian noise on the full count vector of integer
-  keys in [lo, hi), counted block by block into one vector, rho-zCDP; an
-  (n, d) key array votes on each column in one call.
+* ``histogram_zcdp`` — the full frequency vector of integer keys in
+  [lo, hi), counted block by block into one vector and released through
+  ``privacy.gaussian_mechanism_vector``, rho-zCDP; an (n, d) key array
+  votes on each column in one call, one release per column.
 
-Both take integer key arrays, draw their noise as one vector, one draw per
-bucket in ascending key order, and return the keys and noised frequencies as
-two aligned arrays.  A caller that needs an out-of-universe bucket reserves
-an integer key for it.
+Both take integer key arrays, draw one noise value per bucket in ascending
+key order (column by column for a column-wise vote), and return the keys and
+noised frequencies as two aligned arrays.  A caller that needs an
+out-of-universe bucket reserves an integer key for it.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from numpy.typing import ArrayLike
 
 from .errors import InvalidInputError, InvalidParameterError
 from .noise import NoiseSource
+from .privacy import gaussian_mechanism_vector
 
 # Keys per counting block in histogram_zcdp: 512 KiB of intp offsets.
 _COUNT_BLOCK = 1 << 16
@@ -46,11 +48,6 @@ class HistogramResult:
     freqs: np.ndarray
     n: int = 0
     accuracy_bound: float = 0.0
-
-    @property
-    def entries(self) -> dict:
-        """{key: frequency} in ascending key order, built on each read."""
-        return dict(zip(self.keys.tolist(), self.freqs.T.tolist()))
 
 
 def stable_histogram_approx_dp(data: ArrayLike, eps: float, delta: float,
@@ -97,7 +94,7 @@ def histogram_zcdp(data: ArrayLike, lo: int, hi: int, rho: float,
     draw per key.  Replacing one sample moves the count vector by
     at most 1 in two buckets, so the l2-sensitivity of the frequency vector
     is sqrt(2)/n exactly.  (n, d) ``data`` gives (d, hi - lo) ``freqs``, one
-    rho-zCDP vote per column, drawn in column order.
+    rho-zCDP release per column, in column order.
     """
     data = np.asarray(data)
     n = len(data)
@@ -118,8 +115,6 @@ def histogram_zcdp(data: ArrayLike, lo: int, hi: int, rho: float,
 
     shape = data.shape[1:] + (size,)
     cols = math.prod(shape[:-1])  # d for (n, d) keys, 1 for one column
-    sigma = (math.sqrt(2.0) / n) / math.sqrt(2.0 * rho)
-    draws = noise.gaussian(sigma, size=shape)
     # Count in row blocks of at least _COUNT_BLOCK keys and at least the
     # count vector's length, so no full-size intp copy of the keys is made.
     counts = np.zeros(cols * size, dtype=np.intp)
@@ -129,9 +124,11 @@ def histogram_zcdp(data: ArrayLike, lo: int, hi: int, rho: float,
         # cast while offsetting: lo may not fit the keys' dtype (int8 columns)
         off = np.subtract(data[start: start + step], shift, dtype=np.intp)
         counts += np.bincount(off.ravel(), minlength=counts.size)
-    freqs = counts.reshape(shape) / n + draws
+    freqs = counts.reshape(cols, size) / n
+    for col in freqs:  # one release per column, in column order
+        col[...] = gaussian_mechanism_vector(col, math.sqrt(2.0) / n, rho, noise)
     bound = math.sqrt(2.0 * math.log(2.0 * size / beta) / rho) / n * math.sqrt(2.0)
-    return HistogramResult(np.arange(lo, hi), freqs, n, bound)
+    return HistogramResult(np.arange(lo, hi), freqs.reshape(shape), n, bound)
 
 
 def argmax_bucket(h: HistogramResult, threshold: float) -> Optional[int]:

@@ -26,7 +26,7 @@ from .covariance import TARGET_KAPPA, CovEstimate, ppc, pgce
 from .errors import InvalidParameterError
 from .histogram import argmax_bucket, histogram_zcdp
 from .noise import NoiseSource
-from .privacy import PrivacyBudget
+from .privacy import PrivacyBudget, gaussian_mechanism_vector
 
 # Vote threshold for the location bucket.
 LOCATION_VOTE = 0.25
@@ -110,8 +110,8 @@ def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
 
     if known_scale:
         # Single CDF reading at the bucket edge; l2-sensitivity 1/m.
-        p = float(np.mean(cdf_block <= mu_tilde))
-        p += float(noise.gaussian((1.0 / m) / math.sqrt(2.0 * (rho / 2.0))))
+        p = float(gaussian_mechanism_vector(np.mean(cdf_block <= mu_tilde),
+                                            1.0 / m, rho / 2.0, noise))
         p = min(max(p, 1.0 / (2.0 * m)), 1.0 - 1.0 / (2.0 * m))
         mu_hat = mu_tilde - float(ndtri(p))
     else:
@@ -121,9 +121,9 @@ def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
         # right within its factor-of-2 guarantee.
         center = mu_tilde + width / 2.0
         t1, t2 = center - sigma_hat / 2.0, center + sigma_hat / 2.0
-        p = np.array([np.mean(cdf_block <= t1), np.mean(cdf_block <= t2)])
-        p = p + noise.gaussian((math.sqrt(2.0) / m) / math.sqrt(2.0 * (rho / 2.0)),
-                               size=2)
+        p = gaussian_mechanism_vector(
+            [np.mean(cdf_block <= t1), np.mean(cdf_block <= t2)],
+            math.sqrt(2.0) / m, rho / 2.0, noise)
         p = np.clip(p, 1.0 / (2.0 * m), 1.0 - 1.0 / (2.0 * m))
         z1, z2 = float(ndtri(p[0])), float(ndtri(p[1]))
         dz = min(max(z2 - z1, _DZ_MIN), _DZ_MAX)

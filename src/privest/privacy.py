@@ -1,10 +1,11 @@
-"""Privacy budget algebra, regime conversions, and the Gaussian mechanism.
+"""Privacy budgets in two regimes and the one Gaussian mechanism.
 
-Budgets live in one of three regimes: rho-zCDP, pure epsilon-DP, and
-approximate (epsilon, delta)-DP.  zCDP budgets compose by adding rho;
-approximate budgets compose basically (both parameters add).  The Gaussian
-mechanism adds noise with standard deviation sensitivity / sqrt(2 * rho) and
-satisfies rho-zCDP.
+Budgets are rho-zCDP or approximate (epsilon, delta)-DP; zCDP converts to
+approximate DP, and approximate budgets compose basically (both parameters
+add).  Every Gaussian release in the library is calibrated here, by
+``gaussian_sigma``: noise with standard deviation sensitivity / sqrt(2 * rho)
+on a statistic of l2-sensitivity ``sensitivity`` satisfies rho-zCDP (Bun and
+Steinke 2016).
 """
 
 from __future__ import annotations
@@ -21,30 +22,24 @@ from .noise import NoiseSource
 
 @dataclass(frozen=True)
 class PrivacyBudget:
-    """An immutable privacy guarantee in one of three regimes.
+    """An immutable privacy guarantee: rho-zCDP or (eps, delta)-DP.
 
     Exactly one regime's parameters are populated.  Use the classmethod
     constructors; the raw constructor validates but does not infer.
     """
 
-    regime: str  # "zcdp" | "pure" | "approx"
+    regime: str  # "zcdp" | "approx"
     rho: Optional[float] = None
     eps: Optional[float] = None
     delta: Optional[float] = None
 
     def __post_init__(self):
+        rho, eps, delta = self.rho, self.eps, self.delta
         if self.regime == "zcdp":
-            ok = self.rho is not None and self.eps is None and self.delta is None
-            ok = ok and self.rho >= 0
-        elif self.regime == "pure":
-            ok = self.eps is not None and self.rho is None and self.delta is None
-            ok = ok and self.eps >= 0
-        elif self.regime == "approx":
-            ok = (self.eps is not None and self.delta is not None
-                  and self.rho is None)
-            ok = ok and self.eps >= 0 and 0 <= self.delta < 1
+            ok = eps is None and delta is None and rho is not None and rho >= 0
         else:
-            ok = False
+            ok = (self.regime == "approx" and rho is None and eps is not None
+                  and delta is not None and eps >= 0 and 0 <= delta < 1)
         if not ok:
             raise InvalidParameterError(
                 f"inconsistent budget: regime={self.regime!r} rho={self.rho} "
@@ -53,10 +48,6 @@ class PrivacyBudget:
     @classmethod
     def zcdp(cls, rho: float) -> "PrivacyBudget":
         return cls(regime="zcdp", rho=float(rho))
-
-    @classmethod
-    def pure(cls, eps: float) -> "PrivacyBudget":
-        return cls(regime="pure", eps=float(eps))
 
     @classmethod
     def approx(cls, eps: float, delta: float) -> "PrivacyBudget":
@@ -71,16 +62,6 @@ class PrivacyBudget:
         return out
 
 
-def compose_zcdp(rhos: Iterable[float]) -> float:
-    """Adaptive composition of zCDP guarantees: rho values add."""
-    total = 0.0
-    for r in rhos:
-        if r < 0:
-            raise InvalidParameterError(f"negative rho {r}")
-        total += r
-    return total
-
-
 def zcdp_to_approx_dp(rho: float, delta: float) -> tuple[float, float]:
     """Convert rho-zCDP to (eps, delta)-DP: eps = rho + 2*sqrt(rho*ln(1/delta))."""
     if rho < 0:
@@ -89,13 +70,6 @@ def zcdp_to_approx_dp(rho: float, delta: float) -> tuple[float, float]:
         raise InvalidParameterError(f"delta must be in (0,1), got {delta}")
     eps = rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
     return eps, delta
-
-
-def pure_dp_to_zcdp(eps: float) -> float:
-    """Pure eps-DP implies (eps^2 / 2)-zCDP."""
-    if eps < 0:
-        raise InvalidParameterError(f"eps must be >= 0, got {eps}")
-    return eps * eps / 2.0
 
 
 def compose_approx_dp(budgets: Iterable[tuple[float, float]]) -> tuple[float, float]:
@@ -107,46 +81,47 @@ def compose_approx_dp(budgets: Iterable[tuple[float, float]]) -> tuple[float, fl
     return (sum(e for e, _ in budgets), sum(d for _, d in budgets))
 
 
-def gaussian_mechanism_vector(v: np.ndarray, delta2: float, rho: float,
-                              noise: NoiseSource) -> np.ndarray:
-    """Add i.i.d. Gaussian noise with std delta2 / sqrt(2*rho) to each entry.
-
-    Satisfies rho-zCDP for a function with l2-sensitivity delta2.
-    """
+def gaussian_sigma(sensitivity: float, rho: float) -> float:
+    """Noise std sensitivity / sqrt(2*rho) of the rho-zCDP Gaussian mechanism
+    for a statistic of l2-sensitivity ``sensitivity``."""
     if not rho > 0:
         raise InvalidParameterError(f"rho must be > 0, got {rho}")
-    if not delta2 >= 0:
-        raise InvalidParameterError(f"sensitivity must be >= 0, got {delta2}")
+    if not sensitivity >= 0:
+        raise InvalidParameterError(f"sensitivity must be >= 0, got {sensitivity}")
+    return sensitivity / math.sqrt(2.0 * rho)
+
+
+def gaussian_mechanism_vector(v, delta2: float, rho: float,
+                              noise: NoiseSource) -> np.ndarray:
+    """Release ``v`` with i.i.d. N(0, gaussian_sigma(delta2, rho)^2) noise on
+    each entry; rho-zCDP when replacing one row moves ``v`` by at most
+    ``delta2`` in l2 norm.
+
+    ``v`` may have any shape, 0-d included, and is returned as a float
+    array of that shape.  This is the one release path for every statistic
+    that is not a symmetric matrix.
+    """
+    std = gaussian_sigma(delta2, rho)
     v = np.asarray(v, dtype=float)
-    if delta2 == 0:
-        return v.copy()
-    std = delta2 / math.sqrt(2.0 * rho)
     return v + noise.gaussian(std, size=v.shape)
 
 
 def gaussian_mechanism_symmetric(m: np.ndarray, delta_f: float, rho: float,
                                  noise: NoiseSource) -> np.ndarray:
     """Symmetric Gaussian noise: i.i.d. N(0, sigma^2) on the upper triangle
-    including the diagonal, mirrored below, with sigma = delta_f / sqrt(2*rho).
+    including the diagonal, mirrored below, with sigma =
+    gaussian_sigma(delta_f, rho).
 
     Calibrating to the Frobenius sensitivity of the full matrix is
     conservative for the d(d+1)/2 free entries, so this never under-noises.
     """
-    if not rho > 0:
-        raise InvalidParameterError(f"rho must be > 0, got {rho}")
-    if not delta_f >= 0:
-        raise InvalidParameterError(f"sensitivity must be >= 0, got {delta_f}")
+    sigma = gaussian_sigma(delta_f, rho)
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"expected a square matrix, got shape {m.shape}")
     if not np.array_equal(m, m.T):
         raise InvalidInputError("matrix is not symmetric")
-    if delta_f == 0:
-        return m.copy()
-    d = m.shape[0]
-    sigma = delta_f / math.sqrt(2.0 * rho)
-    n = sample_gue(d, sigma, noise)
-    return m + n
+    return m + sample_gue(m.shape[0], sigma, noise)
 
 
 def sample_gue(d: int, sigma: float, noise: NoiseSource) -> np.ndarray:

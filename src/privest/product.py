@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyInputError, InsufficientSamplesError, InvalidParameterError
 from .noise import NoiseSource
-from .privacy import PrivacyBudget
+from .privacy import PrivacyBudget, gaussian_mechanism_vector
 
 # Round-1 mean bound and freeze threshold; both halve each round, which
 # keeps tau_r = (3/4) * u_{r+1} at every round.
@@ -123,11 +123,11 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
     tau_r, and halves u and tau for the rest.  The final round reads one
     more block for whatever remains.  The output is clamped into [0,1]^d.
 
-    The noise std is sigma_r = sqrt(2)*B_r/(m*sqrt(2*rho)), the Gaussian
-    mechanism at rho for sensitivity sqrt(2)*B_r/m: two truncated 0/1 rows
-    lie in the nonnegative orthant within the radius-B_r ball, so they are
-    at most sqrt(2)*B_r apart, and replacing one row moves the block's
-    truncated mean by at most that over m.
+    Each round's truncated mean is released by the Gaussian mechanism at
+    rho with sensitivity sqrt(2)*B_r/m: two truncated 0/1 rows lie in the
+    nonnegative orthant within the radius-B_r ball, so they are at most
+    sqrt(2)*B_r apart, and replacing one row moves the block's truncated
+    mean by at most that over m.
 
     Only a ``diagnostics`` dict gets the per-round ``RoundState`` records
     (under "rounds"); without one, none are built.
@@ -164,9 +164,8 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
         last = u * len(active) < 1.0 or r > r_max
         b_r = (math.sqrt(6.0 * math.log(m / beta)) if last else
                math.sqrt(6.0 * u * len(active) * math.log(m * r_max / beta)))
-        sigma = math.sqrt(2.0) * b_r / (m * math.sqrt(2.0 * rho))
-        noisy = tmean(x[(r - 1) * m: r * m, active], b_r) \
-            + noise.gaussian(sigma, size=len(active))
+        noisy = gaussian_mechanism_vector(tmean(x[(r - 1) * m: r * m, active], b_r),
+                                          math.sqrt(2.0) * b_r / m, rho, noise)
         freeze = np.ones(len(active), bool) if last else noisy >= tau
         q[active[freeze]] = noisy[freeze]
         if diagnostics is not None:

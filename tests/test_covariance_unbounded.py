@@ -31,6 +31,13 @@ def rows_with_sq_norms(sq_norms, d=3):
     return out
 
 
+def shrink_factor(v, k):
+    """The factor (1/sqrt(K)) P_V + P_Vperp of a (V, K) sweep result, as
+    weak_ppc builds it."""
+    a = np.eye(len(v)) + (1.0 / math.sqrt(k) - 1.0) * (v @ v.T)
+    return (a + a.T) / 2.0
+
+
 def bucket_key(v, r_min):
     return int(_bucket_keys(np.array([v], dtype=float), r_min)[0])
 
@@ -177,7 +184,8 @@ class TestWeakPpcNoBound:
         out = weak_ppc_no_bound(x, 1.0, 0.05, (lam1 / 2.0, 2.0 * lam1),
                                 NoiseSource.zero())
         assert out is not None
-        v, a = out
+        v, k = out
+        a = shrink_factor(v, k)
         assert v.shape[1] == 1
         assert abs(v[0, 0]) > 0.999
         # the detection happens at the first kappa with kappa/2 <= lambda_top
@@ -207,7 +215,7 @@ class TestWeakPpcNoBound:
             out = weak_ppc_no_bound(x, 20.0, 0.05, (lam1 / 4.0, 4.0 * lam1),
                                     NoiseSource(seed))
             assert out is not None
-            v, a = out
+            a = shrink_factor(*out)
             ev = np.linalg.eigvalsh(a @ sigma @ a.T)
             good += (ev[0] >= 0.5) and (ev[-1] <= 5 * d ** 2 + 0.75 * lam1)
         assert good >= 9
@@ -321,6 +329,21 @@ class TestPgceNoBound:
         assert est.budget_spent.eps == pytest.approx(want_eps, rel=1e-12)
         assert est.budget_spent.delta == pytest.approx(want_delta, rel=1e-12)
 
+    @pytest.mark.parametrize("scale, where", [
+        (1e100, "estimate overflowed"),   # rounds run, the estimate is not finite
+        (1e153, "interval"),              # the vote's interval ends at inf
+        (10 ** 153.8, "interval"),        # the voted bucket is 16**256 itself
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_huge_rows_fail_with_estimation_error(self, scale, where, seed):
+        # every row is scaled up so far that the released values overflow;
+        # that must end in EstimationFailedError, not an OverflowError or
+        # a silent non-finite estimate
+        x = gaussian_rows([1.0] * 4, 2000, 100 + seed) * scale
+        with np.errstate(all="ignore"), pytest.raises(EstimationFailedError,
+                                                      match=where):
+            pgce_no_bound(x, 1.0, 1e-6, 0.05, NoiseSource(seed))
+
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e160, 1e150])
 @pytest.mark.parametrize("estimate", [
@@ -356,7 +379,8 @@ def materialised_ppc_range(x, eps, delta, beta, noise):
         steps = math.ceil(math.log(2.0 * b_j / a_j) / math.log(1.0 / SWEEP_SHRINK))
         b_sq = clamp_threshold_sq(b_j, d, n, beta_r / steps)
         within.append(np.einsum("ij,ij->i", xt, xt) <= b_sq)
-        v, a_mat = weak_ppc_no_bound(xt, rho_r, beta_r, (a_j, b_j), noise)
+        v, k = weak_ppc_no_bound(xt, rho_r, beta_r, (a_j, b_j), noise)
+        a_mat = shrink_factor(v, k)
         xt = xt @ a_mat.T
         a_total = a_mat @ a_total
         log.append((b_j, a_j, v.shape[1], rho_r))

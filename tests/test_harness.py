@@ -162,7 +162,7 @@ class TestReportDigests:
          "6ef91c2fed655b7d3a20f9c0cef4da1301abcf1693654a4d15cd526c53ddfead"),
         (dict(task="attack", rho=0.1, n=400, d=16, m=100, attack_trials=20,
               mechanism="ppde"),
-         "5995300bc9c065c21be92a296a536d55e3e466e3fc31ec2fe68b7ad814d49a13"),
+         "227e1c6d3f8a755af6896186bc7fddfdf500de43a70d952c1ee6274efcc53574"),
         (dict(task="product", rho=1.0, n=8000, d=6, m=2000, flip_heavy=True),
          "a77fe86db314d86d70552f89285eae06b2add1ceb59f84bea6398e60c3c65be0"),
     ], ids=["gaussian-cov", "gaussian-cov-unbounded", "gaussian-mean",

@@ -2,21 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from privest import covariance, covariance_unbounded, histogram, mean, product
 from privest.errors import InvalidInputError, InvalidParameterError
 from privest.noise import NoiseSource
-from privest.privacy import (PrivacyBudget, compose_approx_dp, compose_zcdp,
+from privest.privacy import (PrivacyBudget, compose_approx_dp,
                              gaussian_mechanism_symmetric,
-                             gaussian_mechanism_vector, pure_dp_to_zcdp,
+                             gaussian_mechanism_vector, gaussian_sigma,
                              sample_gue, zcdp_to_approx_dp)
 
 
 class TestPrivacyBudget:
     def test_regimes(self):
         assert PrivacyBudget.zcdp(0.5).rho == 0.5
-        assert PrivacyBudget.pure(1.0).eps == 1.0
         b = PrivacyBudget.approx(1.0, 1e-6)
         assert (b.eps, b.delta) == (1.0, 1e-6)
 
@@ -29,27 +27,12 @@ class TestPrivacyBudget:
             PrivacyBudget(regime="approx", eps=1.0, delta=1.0)
         with pytest.raises(InvalidParameterError):
             PrivacyBudget(regime="nope", rho=0.1)
+        with pytest.raises(InvalidParameterError):  # the pure regime is gone
+            PrivacyBudget(regime="pure", eps=1.0)
 
     def test_as_dict(self):
         assert PrivacyBudget.zcdp(0.25).as_dict() == {"regime": "zcdp",
                                                       "rho": 0.25}
-
-
-class TestComposeZcdp:
-    def test_known_values(self):
-        assert compose_zcdp([0.1, 0.2]) == pytest.approx(0.3)
-        assert compose_zcdp([]) == 0.0
-        assert compose_zcdp([0.5, 0.5, 0.5]) == pytest.approx(1.5)
-
-    def test_negative_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            compose_zcdp([0.1, -0.2])
-
-    @given(st.lists(st.floats(min_value=0, max_value=10), max_size=8),
-           st.lists(st.floats(min_value=0, max_value=10), max_size=8))
-    def test_associative_commutative(self, a, b):
-        assert compose_zcdp(a + b) == pytest.approx(compose_zcdp(b + a))
-        assert compose_zcdp(a + [0.0]) == pytest.approx(compose_zcdp(a))
 
 
 class TestConversions:
@@ -66,20 +49,6 @@ class TestConversions:
         with pytest.raises(InvalidParameterError):
             zcdp_to_approx_dp(0.5, 1.0)
 
-    def test_pure_to_zcdp(self):
-        assert pure_dp_to_zcdp(1.0) == 0.5
-        assert pure_dp_to_zcdp(0.0) == 0.0
-        assert pure_dp_to_zcdp(2.0) == 2.0
-
-    @given(st.floats(min_value=0.0, max_value=5.0),
-           st.floats(min_value=1e-9, max_value=0.5))
-    def test_pure_round_trip_formula(self, eps, delta):
-        # converting eps-pure-DP through zCDP lands on
-        # eps^2/2 + eps*sqrt(2 ln(1/delta)) exactly
-        got, _ = zcdp_to_approx_dp(pure_dp_to_zcdp(eps), delta)
-        want = eps * eps / 2.0 + eps * math.sqrt(2.0 * math.log(1.0 / delta))
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-
 
 class TestComposeApprox:
     def test_basic(self):
@@ -91,6 +60,19 @@ class TestComposeApprox:
     def test_rejects_bad_pair(self, pair):
         with pytest.raises(InvalidParameterError):
             compose_approx_dp([(1.0, 1e-6), pair])
+
+
+class TestGaussianSigma:
+    def test_formula(self):
+        assert gaussian_sigma(1.0, 0.5) == 1.0
+        assert gaussian_sigma(3.0, 2.0) == 3.0 / math.sqrt(4.0)
+        assert gaussian_sigma(0.0, 1.0) == 0.0
+
+    @pytest.mark.parametrize("sensitivity, rho", [(1.0, 0.0), (1.0, -1.0),
+                                                  (-1.0, 1.0)])
+    def test_rejects_bad_arguments(self, sensitivity, rho):
+        with pytest.raises(InvalidParameterError):
+            gaussian_sigma(sensitivity, rho)
 
 
 class TestGaussianMechanismVector:
@@ -113,6 +95,12 @@ class TestGaussianMechanismVector:
     def test_rho_must_be_positive(self):
         with pytest.raises(InvalidParameterError):
             gaussian_mechanism_vector(np.zeros(2), 1.0, 0.0, NoiseSource(0))
+
+    def test_zero_d_statistic(self):
+        # a scalar is released as a 0-d array from the draw a scalar call reads
+        out = gaussian_mechanism_vector(0.25, 1.0, 0.5, NoiseSource(6))
+        assert out.shape == ()
+        assert float(out) == 0.25 + float(NoiseSource(6).gaussian(1.0))
 
 
 class TestGaussianMechanismSymmetric:
@@ -188,6 +176,8 @@ FLOOR = 2 * 40.0 * 2 ** 3   # above weak_ppc_no_bound's interval floor at d = 2
     lambda: gaussian_mechanism_vector(np.zeros(3), NAN, 1.0, NoiseSource(0)),
     lambda: gaussian_mechanism_symmetric(np.eye(3), 1.0, NAN, NoiseSource(0)),
     lambda: gaussian_mechanism_symmetric(np.eye(3), NAN, 1.0, NoiseSource(0)),
+    lambda: gaussian_sigma(1.0, NAN),
+    lambda: gaussian_sigma(NAN, 1.0),
     lambda: mean.univariate_mean(ROWS[:, 0], NAN, 0.05, 10.0, 2.0, NoiseSource(0)),
     lambda: mean.univariate_mean(ROWS[:, 0], 1.0, 0.05, NAN, 2.0, NoiseSource(0)),
     lambda: mean.univariate_mean(ROWS[:, 0], 1.0, 0.05, 10.0, NAN, NoiseSource(0)),
@@ -199,6 +189,7 @@ FLOOR = 2 * 40.0 * 2 ** 3   # above weak_ppc_no_bound's interval floor at d = 2
         "pgce_no_bound-beta", "ppc_range-beta",
         "histogram_zcdp-rho", "stable_histogram-eps", "vector-rho",
         "vector-sensitivity", "symmetric-rho", "symmetric-sensitivity",
+        "sigma-rho", "sigma-sensitivity",
         "univariate_mean-rho", "univariate_mean-R", "univariate_mean-kappa",
         "ppde-rho", "gaussian-std", "laplace-scale"])
 def test_nan_parameter_is_rejected(call):
