@@ -81,8 +81,8 @@ def clamp_threshold_sq(kappa: float, d: int, n: int, beta: float) -> float:
 
 
 def _validate_common(x, rho: float, beta: float, kappa: float):
-    """Check the parameters; return ``x`` as a float array unless a frame."""
-    x = x if isinstance(x, _Frame) else np.asarray(x, dtype=float)
+    """Check the parameters; return ``x`` as a float array unless a frame or pairs."""
+    x = x if isinstance(x, (_Frame, _Pairs)) else np.asarray(x, dtype=float)
     if len(x.shape) != 2:
         raise InvalidParameterError(f"samples must be 2-d, got shape {x.shape}")
     if x.shape[0] == 0:
@@ -108,22 +108,44 @@ def clamped_covariance(x: np.ndarray, b_sq: float) -> tuple[np.ndarray, int]:
     return (cov + cov.T) / 2.0, int(keep.sum())
 
 
+class _Pairs:
+    """The mean-free difference pairs (x[2i+1] - x[2i]) / sqrt(2) of the rows
+    of ``x``, never built whole.  A slice lo:hi of at most ``step`` rows, a
+    block of _BLOCK_MADDS multiply-adds in a d x d product, is computed into
+    one reused buffer, valid until the next; an index array gives a new array."""
+
+    def __init__(self, x: np.ndarray):
+        self.x, self.shape = x, (x.shape[0] // 2, x.shape[1])
+        self.step = max(1, _BLOCK_MADDS // self.shape[1] ** 2)
+        self.buf = np.empty((min(self.step, self.shape[0]), self.shape[1]))
+
+    def __getitem__(self, rows) -> np.ndarray:
+        if isinstance(rows, slice):
+            lo, hi, _ = rows.indices(self.shape[0])
+            out = np.subtract(self.x[2 * lo + 1:2 * hi:2], self.x[2 * lo:2 * hi:2],
+                              out=self.buf[:hi - lo])
+        else:
+            out = np.subtract(self.x[2 * rows + 1], self.x[2 * rows])
+        return np.divide(out, math.sqrt(2.0), out=out)
+
+
 class _Frame:
     """Samples seen through an accumulated map M, never transformed.
 
-    Holds the rows ``cover`` has admitted (those some announced clamp could
-    keep), their clamped second moment S = G/n, their squared norms under
-    M, the indices ``out`` of the other rows, and M with its exact inverse,
-    built one factor scale * (I - c V V^T) per ``push``.  ``shape`` is the
-    samples' shape.  ``push`` leaves the norms stale; ``moment`` recomputes
-    them only if no ellipsoid [T, T^-1, r] in ``shapes``, |T x|^2 <= r for
-    every row (the last exact norms', then S's, fitted once), rules out a
-    drop.  A frame never pushed keeps exact norms and never fits.
+    Reads the rows of ``x`` (an array or a ``_Pairs``) by slice or index, and
+    holds the indices ``idx`` of those ``cover`` admitted (some announced clamp
+    could keep them; None: all), their clamped second moment S = G/n, their
+    squared norms under M, the indices ``out`` of the others, and M with its
+    exact inverse, built one factor scale * (I - c V V^T) per ``push``.
+    ``shape`` is the samples' shape.  ``push`` leaves the norms stale;
+    ``moment`` recomputes them only if no ellipsoid [T, T^-1, r] in ``shapes``,
+    |T x|^2 <= r for every row (the last exact norms', then S's, fitted once),
+    rules out a drop.  A frame never pushed keeps exact norms and never fits.
     """
 
-    def __init__(self, x: np.ndarray, clamps: list[float]):
+    def __init__(self, x, clamps: list[float]):
         """``clamps[t]`` is a squared-norm clamp applied after t of ppc's
-        factors (its rounds, then pgce's final estimate)."""
+        factors (its rounds, then pgce's final estimate).  An array is read as one block."""
         self.x, self.shape = x, x.shape
         self.rounds, self.stale, self.fitted, self.shapes = 0, False, False, {}
         self.m, self.m_inv = np.eye(x.shape[1]), np.eye(x.shape[1])
@@ -131,17 +153,21 @@ class _Frame:
         # Rows past the reach are dropped by every clamp.  Keeping them out
         # of S stops a huge finite row from cancelling the rest when dropped.
         self.reach = self._reach(clamps)
-        norms = np.einsum("ij,ij->i", x, x)
-        keep = norms <= self.reach
-        if keep.all():
-            self.rows, self.norms = x, norms
-            self.out, self.out_norms = np.empty(0, dtype=np.intp), np.empty(0)
-        else:
-            self.rows, self.norms = x[keep], norms[keep]
-            self.out = np.flatnonzero(~keep)
-            self.out_norms = norms[self.out]
-        second = (self.rows.T @ self.rows) / x.shape[0]
-        self.second = (second + second.T) / 2.0
+        n = x.shape[0]
+        step = n if isinstance(x, np.ndarray) else x.step
+        norms, keep, gram = np.empty(n), np.empty(n, dtype=bool), None
+        for lo in range(0, n, step):
+            rows, at = x[lo:lo + step], slice(lo, lo + step)
+            np.einsum("ij,ij->i", rows, rows, out=norms[at])
+            np.less_equal(norms[at], self.reach, out=keep[at])
+            rows = rows if keep[at].all() else rows[keep[at]]
+            gram = rows.T @ rows if gram is None else gram + rows.T @ rows
+        self.idx = None if keep.all() else np.flatnonzero(keep)
+        self.norms = norms if self.idx is None else norms[keep]
+        self.out = np.flatnonzero(np.logical_not(keep, out=keep))   # no n-byte copy
+        self.out_norms = norms[self.out]
+        gram /= n
+        self.second = (gram + gram.T) / 2.0
 
     def _reach(self, clamps: list[float]) -> float:
         """The largest squared norm, before any factor, that ``clamps[t]``
@@ -156,16 +182,16 @@ class _Frame:
     def cover(self, clamps: list[float]):
         """Extend S to every row that one of ``clamps`` (as in ``__init__``,
         counted from the current map) could keep, adding only those rows."""
-        self.inv_norm_sq = min(self.inv_norm_sq, np.linalg.norm(self.m_inv, 2) ** 2)
-        reach = self._reach(clamps)
-        if reach <= self.reach:
+        with np.errstate(over="ignore", invalid="ignore"):   # moment refuses inf
+            self.inv_norm_sq = min(self.inv_norm_sq, np.linalg.norm(self.m_inv, 2) ** 2)
+            reach = self._reach(clamps)
+        self.reach, add = max(self.reach, reach), self.out_norms <= reach
+        if not add.any():   # always so while idx is None: no row is out
             return
-        self.reach = reach
-        add = self.out_norms <= reach
         new = self.x[self.out[add]]
         second = (new.T @ new) / self.shape[0]
         self.second = self.second + (second + second.T) / 2.0
-        self.rows = np.concatenate([self.rows, new])
+        self.idx = np.concatenate([self.idx, self.out[add]])
         self.norms = np.concatenate([self.norms, _sq_under(new, self.m)])
         for shape in self.shapes.values():
             shape[2] = max(shape[2], _sq_under(new, shape[0]).max(initial=0.0))
@@ -181,7 +207,7 @@ class _Frame:
             if w[0] > 1e-12 * w[-1]:
                 t = u.T / np.sqrt(w)[:, None]
                 self.shapes["fit"] = [t, u * np.sqrt(w),
-                                      _sq_under(self.rows, t, self.norms).max(initial=0.0)]
+                                      _sq_under(self.x, t, self.norms, self.idx).max(initial=0.0)]
 
     def _certified(self, b_sq: float) -> bool:
         """Whether an ellipsoid proves that no admitted row has |M x|^2 > b_sq,
@@ -191,30 +217,32 @@ class _Frame:
                 self._fit()
             if name in self.shapes:
                 _, t_inv, r = self.shapes[name]
-                p = self.m @ t_inv
-                g = p @ p.T   # non-finite only if it overflowed; LAPACK rejects it
-                # relative rounding in r, lambda_max and the exact norms: d^1.5 eps
-                # sqrt(w_max/w_min) (< 1e-5 at d <= 1000, _fit's floor) + d eps cond(M)
-                if np.isfinite(g).all() and 1.01 * r * sym_eigvals(g)[-1] <= b_sq:
-                    return True
+                with np.errstate(over="ignore", invalid="ignore"):
+                    p = self.m @ t_inv
+                    g = p @ p.T   # non-finite only if it overflowed; LAPACK rejects it
+                    # relative rounding in r, lambda_max and the exact norms: d^1.5 eps
+                    # sqrt(w_max/w_min) (< 1e-5 at d <= 1000, _fit's floor) + d eps cond(M)
+                    if np.isfinite(g).all() and 1.01 * r * sym_eigvals(g)[-1] <= b_sq:
+                        return True
         return False
 
     def _exact_norms(self) -> np.ndarray:
         """Squared norms |M x|^2 of the admitted rows, recomputed after a push."""
         if self.stale:
-            self.norms, self.stale = _sq_under(self.rows, self.m, self.norms), False
+            self.norms, self.stale = _sq_under(self.x, self.m, self.norms, self.idx), False
         return self.norms
 
     def moment(self, b_sq: float) -> tuple[np.ndarray, int]:
         """clamped_covariance of the mapped rows: M (S - dropped x x^T / n) M^T."""
-        if b_sq * self.inv_norm_sq > self.reach:
-            raise InvalidParameterError(
-                f"clamp {b_sq} after {self.rounds} factors is looser than the frame covers")
-        cov, kept = self.second, self.rows.shape[0]
+        with np.errstate(over="ignore"):
+            if b_sq * self.inv_norm_sq > self.reach:
+                raise InvalidParameterError(
+                    f"clamp {b_sq} after {self.rounds} factors is looser than the frame covers")
+        cov, kept = self.second, self.norms.shape[0]
         if not (self.stale and self._certified(b_sq)):
             drop = self._exact_norms() > b_sq
             if drop.any():
-                xd = self.rows[drop]
+                xd = self.x[np.flatnonzero(drop) if self.idx is None else self.idx[drop]]
                 cov = cov - (xd.T @ xd) / self.shape[0]
                 kept -= xd.shape[0]
         if self.rounds:
@@ -233,19 +261,22 @@ class _Frame:
         if not self.stale:   # the ellipsoid the exact norms give, before they go stale
             self.shapes["norms"] = [self.m, self.m_inv, self.norms.max(initial=0.0)]
         self.m = scale * (self.m - (1.0 - 1.0 / math.sqrt(K)) * (v @ (v.T @ self.m)))
-        self.m_inv = (self.m_inv + (math.sqrt(K) - 1.0) * ((self.m_inv @ v) @ v.T)) / scale
-        self.inv_norm_sq *= K / scale ** 2
+        with np.errstate(over="ignore", invalid="ignore"):   # moment refuses inf
+            self.m_inv = (self.m_inv + (math.sqrt(K) - 1.0) * ((self.m_inv @ v) @ v.T)) / scale
+            self.inv_norm_sq *= K / scale ** 2
         self.stale, self.rounds = True, self.rounds + 1
 
 
-def _sq_under(rows: np.ndarray, t: np.ndarray, out=None) -> np.ndarray:
-    """Squared norms |t x|^2 of ``rows`` (NaN or inf for a non-finite row),
-    in blocks of at most _BLOCK_MADDS multiply-adds."""
-    out = np.empty(rows.shape[0]) if out is None else out
+def _sq_under(rows, t: np.ndarray, out=None, idx=None) -> np.ndarray:
+    """Squared norms |t x|^2 of the rows ``idx`` (None: all) of ``rows``, an
+    array or a ``_Pairs`` (NaN or inf for a non-finite row), in blocks of at
+    most _BLOCK_MADDS multiply-adds."""
+    count = rows.shape[0] if idx is None else idx.shape[0]
+    out = np.empty(count) if out is None else out
     step = max(1, _BLOCK_MADDS // t.size)
     with np.errstate(invalid="ignore", over="ignore"):
-        for lo in range(0, rows.shape[0], step):
-            p = rows[lo:lo + step] @ t.T
+        for lo in range(0, count, step):
+            p = (rows[lo:lo + step] if idx is None else rows[idx[lo:lo + step]]) @ t.T
             np.einsum("ij,ij->i", p, p, out=out[lo:lo + step])
     return out
 
@@ -318,9 +349,9 @@ def ppc(x, rho: float, beta: float, kappa: float,
     Runs T = ceil(ln(kappa/1000) / ln(1/0.7)) rounds (0 when kappa <= 1000),
     splitting rho and beta evenly.  Each round shrinks the certified bound by
     0.7 while the accumulated A keeps I <= A Sigma A^T <= 1000 I w.h.p.
-    ``x`` is an array of samples or a ``_Frame`` covering the rounds' clamps,
-    onto which they push their factors (A is its whole map).  With no
-    rounds, no sample is read.
+    ``x`` is samples (an array or a ``_Pairs``) or a ``_Frame`` covering the
+    rounds' clamps, onto which they push their factors (A is its whole map).
+    With no rounds, no sample is read, so a ``_Pairs`` computes no pair.
     """
     x = _validate_common(x, rho, beta, kappa)
     n, d = x.shape
@@ -347,8 +378,8 @@ def pgce(x, rho: float, beta: float, kappa: float,
     Half the budget preconditions; the other half runs naive_pce on the
     transformed samples at the tighter of (kappa, 1000), both of which bound
     the transformed covariance after preconditioning.  Both halves read one
-    ``_Frame`` (a new one over the array ``x``, or ``x`` itself, holding
-    ``ppc_range``'s map) extended to cover the clamps.  The noised estimate
+    ``_Frame`` (a new one over the array or ``_Pairs`` ``x``, or ``x`` itself,
+    holding ``ppc_range``'s map) extended to cover the clamps.  The estimate
     U diag(lambda) U^T is conjugated back as B B^T, B = M^{-1} U
     diag(sqrt(max(lambda, 0))), so it is PSD by construction.
     """
@@ -363,7 +394,8 @@ def pgce(x, rho: float, beta: float, kappa: float,
     diag: dict = {}
     noisy = _noised_moment(frame, rho / 2.0, beta / 2.0, kappa_eff, noise, diag)
     b = frame.m_inv @ psd_factor(noisy)
-    sigma_hat = b @ b.T
+    with np.errstate(over="ignore", invalid="ignore"):   # pgce_no_bound rejects inf
+        sigma_hat = b @ b.T
     sigma_hat = (sigma_hat + sigma_hat.T) / 2.0
     diag.update(rounds=pre.round_log, kappa_eff=kappa_eff)
     # spent: rho/2 in ppc (0 if no rounds ran, but reserved regardless) + rho/2 here

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .covariance import TARGET_KAPPA, CovEstimate, ppc, pgce
+from .covariance import CovEstimate, _Pairs, ppc, pgce
 from .errors import InvalidParameterError
 from .histogram import argmax_bucket, histogram_zcdp
 from .noise import NoiseSource
@@ -172,11 +172,11 @@ def pme(x: np.ndarray, rho: float, alpha: float, beta: float, R: float,
     """Preconditioned mean estimation; total budget 2*rho.
 
     The first two thirds of the rows form mean-free difference pairs
-    (X_{2i} - X_{2i-1})/sqrt(2) that drive the covariance preconditioner
-    (budget rho); the last third is transformed by A and handed to the
-    coordinate-wise estimator at condition bound 1000 (budget rho), and the
-    estimate is mapped back through A's exact inverse.  With no
-    preconditioning rounds A = I and the rows pass as they are.
+    (X_{2i} - X_{2i-1})/sqrt(2), never built whole, that drive the covariance
+    preconditioner (budget rho); the last third is transformed by A and handed
+    to the coordinate-wise estimator at condition bound 1000 (budget rho), and
+    the estimate is mapped back through A's exact inverse.  With no
+    preconditioning rounds A = I, the rows pass as they are, no pair is read.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -185,12 +185,7 @@ def pme(x: np.ndarray, rho: float, alpha: float, beta: float, R: float,
     n = total // 3
     if n < 2:
         raise InvalidParameterError(f"need at least 6 rows, got {total}")
-    # ppc reads its rows only when it runs a round (kappa above the target),
-    # so the difference pairs are built only then
-    z = x[1:2 * n:2]
-    if kappa > TARGET_KAPPA:
-        z = (z - x[0:2 * n:2]) / math.sqrt(2.0)
-    pre = ppc(z, rho, beta, kappa, noise)
+    pre = ppc(_Pairs(x[:2 * n]), rho, beta, kappa, noise)
     y = x[2 * n:3 * n] @ pre.A.T if pre.round_log else x[2 * n:3 * n]
     inner = naive_pme(y, rho, alpha, beta, 1000.0 * R, 1000.0, noise)
     diagnostics = {"preconditioner_rounds": pre.round_log,
@@ -210,15 +205,13 @@ def learn_gaussian(x: np.ndarray, rho: float, alpha: float, beta: float,
                    noise: NoiseSource) -> tuple[MeanEstimate, CovEstimate]:
     """Joint mean and covariance estimation with total budget rho.
 
-    rho/2 goes to covariance estimation on mean-free difference pairs;
-    rho/2 goes to the preconditioned mean estimator (as 2 * rho/4).
+    rho/2 goes to covariance estimation on mean-free difference pairs, which
+    ``pgce`` reads a block at a time, never built whole; rho/2 goes to the
+    preconditioned mean estimator (as 2 * rho/4).
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise InvalidParameterError(f"samples must be 2-d, got shape {x.shape}")
-    n2 = (x.shape[0] // 2) * 2
-    # no name holds the pairs, so they are freed before pme runs
-    cov_est = pgce((x[1:n2:2] - x[0:n2:2]) / math.sqrt(2.0), rho / 2.0,
-                   beta / 2.0, kappa, noise)
+    cov_est = pgce(_Pairs(x), rho / 2.0, beta / 2.0, kappa, noise)
     mean_est = pme(x, rho / 4.0, alpha, beta / 2.0, R, kappa, noise)
     return mean_est, cov_est

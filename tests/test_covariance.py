@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from privest import covariance
 from privest.covariance import (ROUND_SCALE, ROUND_SHRINK, TARGET_KAPPA,
-                                _Frame, clamp_threshold_sq, clamped_covariance,
-                                naive_pce, pgce, ppc, weak_ppc)
+                                _Frame, _Pairs, clamp_threshold_sq,
+                                clamped_covariance, naive_pce, pgce, ppc,
+                                weak_ppc)
 from privest.errors import EmptyInputError, InvalidParameterError
 from privest.linalg import GaussianParams, mahalanobis_mat, sample_gaussian
 from privest.noise import NoiseSource
@@ -527,3 +528,66 @@ class TestFrameSensitivity:
             slack += 1e-12 * rounding_scale(frame)
         assert np.isfinite(moments[1]).all()
         assert np.linalg.norm(moments[0] - moments[1]) <= 2.0 * b_sq / n + slack
+
+
+def pairs_of(x):
+    """The difference pairs (x[2i+1] - x[2i]) / sqrt(2), built whole."""
+    m = (x.shape[0] // 2) * 2
+    return (x[1:m:2] - x[0:m:2]) / math.sqrt(2.0)
+
+
+class TestPairSource:
+    """pgce over a ``_Pairs`` reads the pairs a block at a time; it must
+    admit, keep and drop the same pairs, with the same norms, as pgce over
+    the pairs built whole, and its estimate may differ only by the order of
+    the blocked Gram sum."""
+
+    @pytest.mark.parametrize("n, kappa, extra", [
+        (80_000, 100.0, None),       # three blocks, no rounds
+        (80_001, 1e4, None),         # odd n: the last row is in no pair; 7 rounds
+        (80_000, 1e4, "late"),       # pairs admitted, then dropped by a round
+        (80_000, 100.0, "huge"),     # pairs past every clamp
+        (80_000, 1e4, "huge"),
+    ])
+    def test_matches_materialised_pairs(self, monkeypatch, n, kappa, extra):
+        d = 4
+        x = gaussian_rows(np.geomspace(1.0, kappa, d), n, 21)
+        rows = 2 * np.array([3, 17_000, 39_000])   # first, second, third block
+        if extra == "huge":
+            x[rows + 1] = 1e150
+        elif extra == "late":
+            # on the lightest axis, at twice the final clamp: every round
+            # keeps them, the final estimate drops them
+            b_sq = clamp_threshold_sq(min(kappa, TARGET_KAPPA), d, n // 2, 0.025)
+            x[rows], x[rows + 1] = 0.0, 0.0
+            x[rows + 1, 0] = math.sqrt(2.0 * 2.0 * b_sq)
+        built, init = [], _Frame.__init__
+
+        def spy(frame, rows_in, clamps):
+            init(frame, rows_in, clamps)
+            built.append((frame.norms.copy(), frame.out.copy()))
+
+        monkeypatch.setattr(_Frame, "__init__", spy)
+        got = pgce(_Pairs(x), 1.0, 0.05, kappa, NoiseSource(7))
+        want = pgce(pairs_of(x), 1.0, 0.05, kappa, NoiseSource(7))
+        (lazy_norms, lazy_out), (whole_norms, whole_out) = built
+        assert np.array_equal(lazy_norms, whole_norms)
+        assert np.array_equal(lazy_out, whole_out)
+        assert lazy_out.size == (3 if extra == "huge" else 0)
+        for key in ("kept", "dropped"):
+            assert got.diagnostics[key] == want.diagnostics[key]
+        assert got.diagnostics["dropped"] == (3 if extra else 0)
+        assert ([r.subspace_dim for r in got.diagnostics["rounds"]]
+                == [r.subspace_dim for r in want.diagnostics["rounds"]])
+        assert (np.linalg.norm(got.sigma_hat - want.sigma_hat)
+                <= 1e-12 * np.linalg.norm(want.sigma_hat))
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_rows_by_slice_and_index(self, n):
+        x = np.arange(n * 3, dtype=float).reshape(n, 3) ** 1.5
+        pairs, want = _Pairs(x), pairs_of(x)
+        assert pairs.shape == want.shape
+        assert np.array_equal(pairs[0:n], want)
+        assert np.array_equal(pairs[1:2], want[1:2])
+        idx = np.arange(n // 2)[::-1]
+        assert np.array_equal(pairs[idx], want[idx])

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -343,6 +344,17 @@ class TestPgceNoBound:
         with np.errstate(all="ignore"), pytest.raises(EstimationFailedError,
                                                       match=where):
             pgce_no_bound(x, 1.0, 1e-6, 0.05, NoiseSource(seed))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_overflow_ends_in_the_error_alone(self, seed):
+        # rows near 1e100 overflow the frame's products on the way to the
+        # error; those overflows must not also print numpy warnings
+        x = gaussian_rows([1.0] * 4, 2000, 100 + seed) * 1e100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationFailedError) as info:
+                pgce_no_bound(x, 1.0, 1e-6, 0.05, NoiseSource(seed))
+        assert type(info.value) is EstimationFailedError
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e160, 1e150])

@@ -260,15 +260,19 @@ class TestHistogramZcdp:
             histogram_zcdp(bad, lo, hi, 0.5, 0.05, NoiseSource(4))
 
     def test_sensitivity_worst_case(self):
-        # replacing one sample changes the exact count vector by 1 in two
-        # buckets: l2 change of the frequency vector is sqrt(2)/n exactly
-        data_a = [0, 1, 1, 2]
-        data_b = [3, 1, 1, 2]  # one sample moved from bucket 0 to bucket 3
-        n = len(data_a)
-        universe = [0, 1, 2, 3]
-        fa = np.array([data_a.count(k) / n for k in universe])
-        fb = np.array([data_b.count(k) / n for k in universe])
-        assert np.linalg.norm(fa - fb) == pytest.approx(math.sqrt(2.0) / n)
+        # moving one key to either end of the range moves one count from one
+        # bucket to another: the released frequencies move by sqrt(2)/n in
+        # l2, exactly (n is a power of two, so every frequency is exact)
+        data = np.array([3, 1, 1, 2, 5, 4, 4, 6])
+        lo, hi, n = -2, 9, len(data)
+
+        def freqs(keys):
+            return histogram_zcdp(keys, lo, hi, 1.0, 0.05, NoiseSource.zero()).freqs
+
+        for end in (lo, hi - 1):
+            moved = data.copy()
+            moved[0] = end
+            assert np.linalg.norm(freqs(moved) - freqs(data)) == math.sqrt(2.0) / n
 
     @pytest.mark.parametrize("shape", [(40,), (40, 6)],
                              ids=["one-column", "flip-vote-keys"])

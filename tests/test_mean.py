@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
+from privest.covariance import ppc
 from privest.errors import InvalidParameterError
 from privest.linalg import GaussianParams, mahalanobis_vec, sample_gaussian
 from privest.mean import learn_gaussian, naive_pme, pme, univariate_mean
@@ -187,6 +189,23 @@ class TestPme:
         rotated = pme(x @ q.T, 1.0, 0.1, 0.05, 5.0, 10.0, NoiseSource.zero())
         assert np.allclose(rotated.mu_hat, q @ base.mu_hat, atol=1e-6)
 
+    @pytest.mark.parametrize("rows, kappa", [(9000, 100.0), (9001, 1e4), (9002, 1e6)])
+    def test_matches_pairs_built_whole(self, rows, kappa):
+        # the preconditioner reads the pairs a block at a time; at this size
+        # they are one block, so the estimate is the one the pairs built
+        # whole give, bit for bit
+        d, n = 4, rows // 3
+        sigma = np.diag(np.geomspace(1.0, kappa, d))
+        x = 1.5 + sample_gaussian(GaussianParams(np.zeros(d), sigma), rows, NoiseSource(16))
+        got = pme(x, 1.0, 0.1, 0.05, 5.0, kappa, NoiseSource(17))
+        noise = NoiseSource(17)
+        pairs = (x[1:2 * n:2] - x[0:2 * n:2]) / math.sqrt(2.0)
+        pre = ppc(pairs, 1.0, 0.05, kappa, noise)
+        assert bool(pre.round_log) == (kappa > 1000)
+        y = x[2 * n:3 * n] @ pre.A.T if pre.round_log else x[2 * n:3 * n]
+        inner = naive_pme(y, 1.0, 0.1, 0.05, 5000.0, 1000.0, noise)
+        assert np.array_equal(got.mu_hat, pre.A_inv @ inner.mu_hat)
+
     def test_accuracy_monte_carlo(self):
         # d=4, Sigma=diag(1,10,100,1e4), ||mu|| <= 5, rho=1, n=3e5
         d = 4
@@ -254,6 +273,24 @@ class TestLearnGaussian:
                                            NoiseSource(1))
         assert mean_est.aborted or np.all(np.isfinite(mean_est.mu_hat))
         assert np.all(np.isfinite(cov_est.sigma_hat))
+
+    @pytest.mark.parametrize("huge", [False, True])
+    def test_peak_memory_per_row(self, huge):
+        # the difference pairs are read a block at a time, never built: at
+        # 200k x 16 the pair matrix alone would be 64 bytes per row of x
+        n, d = 200_000, 16
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((n, d)) * np.sqrt(np.geomspace(1.0, 100.0, d))
+        if huge:
+            x[[11, 50_001, 150_001]] = 1e150   # pairs past every clamp
+        learn_gaussian(x[:2000], 1.0, 0.1, 0.05, 5.0, 100.0, NoiseSource(1))  # warm up
+        tracemalloc.start()
+        try:
+            learn_gaussian(x, 1.0, 0.1, 0.05, 5.0, 100.0, NoiseSource(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 16.0
 
     def test_budget_composition(self):
         x = NoiseSource(13).gaussian(1.0, size=(1200, 2))

@@ -11,7 +11,8 @@ import pytest
 from privest import (covariance, covariance_unbounded, harness, histogram,
                      mean, product)
 from privest.noise import NoiseSource
-from privest.privacy import gaussian_mechanism_vector
+from privest.privacy import (gaussian_mechanism_symmetric,
+                             gaussian_mechanism_vector)
 from privest.product import ProductModel, sample_product
 
 
@@ -114,6 +115,48 @@ class TestProductLearners:
         y[row, final.active[half:2 * half]] = 1
         assert_neighbours_within_sensitivity(
             monkeypatch, lambda rows: estimate(rows, m), x, y)
+
+
+class TestCovarianceThroughPairs:
+    """learn_gaussian's covariance releases read the difference pairs a
+    block at a time; replacing one row of x changes one pair, and the
+    released moment may move by at most the 2 b^2 / n_pairs it declares."""
+
+    N, D = 40_002, 4   # 20001 pairs: two blocks of _Pairs
+
+    @pytest.mark.parametrize("kappa", [100.0, 1e4])
+    @pytest.mark.parametrize("row", [6, 2 * 18_000 + 1])   # first, second block
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, 1e150, 1e300,
+                                       "duplicate"])
+    def test_one_row_replaced(self, monkeypatch, kappa, row, value):
+        x = 0.5 + NoiseSource(33).gaussian(1.0, size=(self.N, self.D)) * np.sqrt(
+            np.geomspace(1.0, kappa, self.D))
+        y = replaced(x, row, x[row + 2] if value == "duplicate" else value)
+        released = []
+
+        def spy(m, delta_f, rho, noise):
+            released.append((np.array(m, dtype=float), delta_f))
+            return gaussian_mechanism_symmetric(m, delta_f, rho, noise)
+
+        monkeypatch.setattr(covariance, "gaussian_mechanism_symmetric", spy)
+        firsts = []
+        for rows in (x, y):
+            released.clear()
+            with np.errstate(invalid="ignore"):   # pme maps an inf entry to NaN
+                mean.learn_gaussian(rows, 1.0, 0.1, 0.05, 5.0, kappa, NoiseSource.zero())
+            # at kappa 100 the one release; at 1e4 pgce's 7 rounds and final
+            # estimate, then pme's 7 rounds.  Only the first is compared, as
+            # later ones read the maps the earlier ones chose
+            assert len(released) == (1 if kappa <= 1000 else 15)
+            firsts.append(released[0])
+        (mx, bound), (my, bound_y) = firsts
+        # pgce gets beta 0.025 and gives each half 0.0125, split over 7 rounds
+        n_pairs = self.N // 2
+        beta = 0.0125 if kappa <= 1000 else 0.0125 / 7
+        assert bound == bound_y == 2.0 * covariance.clamp_threshold_sq(
+            kappa, self.D, n_pairs, beta) / n_pairs
+        assert np.isfinite(my).all()
+        assert np.linalg.norm(mx - my) <= bound * (1 + 1e-12)
 
 
 # Modules whose noise must reach the data through privacy's mechanisms.
