@@ -133,7 +133,7 @@ class _Frame:
     """Samples seen through an accumulated map M, never transformed.
 
     Reads the rows of ``x`` (an array or a ``_Pairs``) by slice or index, and
-    holds the indices ``idx`` of those ``cover`` admitted (some announced clamp
+    holds the indices ``idx`` of those admitted (some clamp asked for so far
     could keep them; None: all), their clamped second moment S = G/n, their
     squared norms under M, the indices ``out`` of the others, and M with its
     exact inverse, built one factor scale * (I - c V V^T) per ``push``.
@@ -143,16 +143,16 @@ class _Frame:
     rules out a drop.  A frame never pushed keeps exact norms and never fits.
     """
 
-    def __init__(self, x, clamps: list[float]):
-        """``clamps[t]`` is a squared-norm clamp applied after t of ppc's
-        factors (its rounds, then pgce's final estimate).  An array is read as one block."""
+    def __init__(self, x, b_sq: float):
+        """``b_sq`` is the first squared-norm clamp ``moment`` will be asked
+        for (-inf: none yet).  An array is read as one block."""
         self.x, self.shape = x, x.shape
         self.rounds, self.stale, self.fitted, self.shapes = 0, False, False, {}
         self.m, self.m_inv = np.eye(x.shape[1]), np.eye(x.shape[1])
         self.inv_norm_sq = 1.0   # bounds |M^{-1}|_2^2: |M x|^2 >= |x|^2 / it
-        # Rows past the reach are dropped by every clamp.  Keeping them out
-        # of S stops a huge finite row from cancelling the rest when dropped.
-        self.reach = self._reach(clamps)
+        # Rows past the reach are dropped by every clamp asked for so far.  Keeping
+        # them out of S stops a huge finite row from cancelling the rest when dropped.
+        self.reach = b_sq
         n = x.shape[0]
         step = n if isinstance(x, np.ndarray) else x.step
         norms, keep, gram = np.empty(n), np.empty(n, dtype=bool), None
@@ -169,22 +169,12 @@ class _Frame:
         gram /= n
         self.second = (gram + gram.T) / 2.0
 
-    def _reach(self, clamps: list[float]) -> float:
-        """The largest squared norm, before any factor, that ``clamps[t]``
-        after t more of ppc's factors can keep: each multiplies |M^{-1}|^2,
-        and ``push`` ``inv_norm_sq``, by at most ROUND_K / ROUND_SCALE^2."""
-        reach, inv_sq = -math.inf, self.inv_norm_sq
-        for b_sq in clamps:
-            reach = max(reach, b_sq * inv_sq)
-            inv_sq *= ROUND_K / ROUND_SCALE ** 2
-        return reach
-
-    def cover(self, clamps: list[float]):
-        """Extend S to every row that one of ``clamps`` (as in ``__init__``,
-        counted from the current map) could keep, adding only those rows."""
-        with np.errstate(over="ignore", invalid="ignore"):   # moment refuses inf
-            self.inv_norm_sq = min(self.inv_norm_sq, np.linalg.norm(self.m_inv, 2) ** 2)
-            reach = self._reach(clamps)
+    def cover(self, b_sq: float):
+        """Admit to S every out row that ``b_sq`` could keep: |x|^2 <= b_sq |M^{-1}|_2^2."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.isfinite(self.m_inv).all():   # LAPACK's SVD fails or prints on inf or NaN
+                self.inv_norm_sq = min(self.inv_norm_sq, np.linalg.norm(self.m_inv, 2) ** 2)
+            reach = b_sq * self.inv_norm_sq
         self.reach, add = max(self.reach, reach), self.out_norms <= reach
         if not add.any():   # always so while idx is None: no row is out
             return
@@ -233,11 +223,11 @@ class _Frame:
         return self.norms
 
     def moment(self, b_sq: float) -> tuple[np.ndarray, int]:
-        """clamped_covariance of the mapped rows: M (S - dropped x x^T / n) M^T."""
+        """clamped_covariance of the mapped rows: M (S - dropped x x^T / n) M^T,
+        first ``cover``ing ``b_sq`` if it could keep a row past the reach."""
         with np.errstate(over="ignore"):
-            if b_sq * self.inv_norm_sq > self.reach:
-                raise InvalidParameterError(
-                    f"clamp {b_sq} after {self.rounds} factors is looser than the frame covers")
+            if self.out.size and b_sq * self.inv_norm_sq > self.reach:
+                self.cover(b_sq)
         cov, kept = self.second, self.norms.shape[0]
         if not (self.stale and self._certified(b_sq)):
             drop = self._exact_norms() > b_sq
@@ -261,7 +251,7 @@ class _Frame:
         if not self.stale:   # the ellipsoid the exact norms give, before they go stale
             self.shapes["norms"] = [self.m, self.m_inv, self.norms.max(initial=0.0)]
         self.m = scale * (self.m - (1.0 - 1.0 / math.sqrt(K)) * (v @ (v.T @ self.m)))
-        with np.errstate(over="ignore", invalid="ignore"):   # moment refuses inf
+        with np.errstate(over="ignore", invalid="ignore"):
             self.m_inv = (self.m_inv + (math.sqrt(K) - 1.0) * ((self.m_inv @ v) @ v.T)) / scale
             self.inv_norm_sq *= K / scale ** 2
         self.stale, self.rounds = True, self.rounds + 1
@@ -287,7 +277,7 @@ def _noised_moment(x, rho: float, beta: float, kappa: float, noise: NoiseSource,
     x = _validate_common(x, rho, beta, kappa)
     n, d = x.shape
     b_sq = clamp_threshold_sq(kappa, d, n, beta)
-    frame = x if isinstance(x, _Frame) else _Frame(x, [b_sq])
+    frame = x if isinstance(x, _Frame) else _Frame(x, b_sq)
     cov, kept = frame.moment(b_sq)
     delta_f = 2.0 * b_sq / n
     noisy = gaussian_mechanism_symmetric(cov, delta_f, rho, noise)
@@ -304,7 +294,7 @@ def naive_pce(x, rho: float, beta: float, kappa: float,
     Dropping rows over the clamp threshold bounds the Frobenius sensitivity
     of the average by 2*B^2/n, which calibrates the symmetric Gaussian noise.
     The PSD projection can only improve the estimate.  ``x`` is an array of
-    samples or a ``_Frame`` of them, which must cover the clamp.
+    samples or a ``_Frame`` of them.
     """
     return project_psd(_noised_moment(x, rho, beta, kappa, noise, diagnostics))
 
@@ -330,16 +320,15 @@ def weak_ppc(x, rho: float, beta: float, kappa: float, K: float,
     return v, (a + a.T) / 2.0
 
 
-def _round_clamps(n: int, d: int, beta: float, kappa: float) -> tuple[list, list]:
-    """ppc's round bounds (kappa, 0.7*kappa, ... while above TARGET_KAPPA)
-    and the squared-norm clamp each round applies."""
+def _round_kappas(kappa: float) -> list[float]:
+    """ppc's round bounds: kappa, 0.7*kappa, ... while above TARGET_KAPPA."""
     if kappa <= TARGET_KAPPA:
-        return [], []
+        return []
     t_rounds = math.ceil(math.log(kappa / TARGET_KAPPA) / math.log(1.0 / ROUND_SHRINK))
     kaps = [kappa]
     for _ in range(t_rounds - 1):
         kaps.append(kaps[-1] * ROUND_SHRINK)
-    return kaps, [clamp_threshold_sq(k, d, n, beta / t_rounds) for k in kaps]
+    return kaps
 
 
 def ppc(x, rho: float, beta: float, kappa: float,
@@ -349,18 +338,19 @@ def ppc(x, rho: float, beta: float, kappa: float,
     Runs T = ceil(ln(kappa/1000) / ln(1/0.7)) rounds (0 when kappa <= 1000),
     splitting rho and beta evenly.  Each round shrinks the certified bound by
     0.7 while the accumulated A keeps I <= A Sigma A^T <= 1000 I w.h.p.
-    ``x`` is samples (an array or a ``_Pairs``) or a ``_Frame`` covering the
-    rounds' clamps, onto which they push their factors (A is its whole map).
-    With no rounds, no sample is read, so a ``_Pairs`` computes no pair.
+    ``x`` is samples (an array or a ``_Pairs``) or a ``_Frame``, onto which
+    the rounds push their factors (A is its whole map).  With no rounds, no
+    sample is read, so a ``_Pairs`` computes no pair.
     """
     x = _validate_common(x, rho, beta, kappa)
     n, d = x.shape
-    kaps, clamps = _round_clamps(n, d, beta, kappa)
+    kaps = _round_kappas(kappa)
     t_rounds = len(kaps)
     if not t_rounds:
         return Preconditioner(A=np.eye(d), A_inv=np.eye(d),
                               budget_spent=PrivacyBudget.zcdp(0.0))
-    frame = x if isinstance(x, _Frame) else _Frame(x, clamps)
+    frame = x if isinstance(x, _Frame) else _Frame(
+        x, clamp_threshold_sq(kaps[0], d, n, beta / t_rounds))
     log: list[RoundRecord] = []
     for kap in kaps:
         v, _ = weak_ppc(frame, rho / t_rounds, beta / t_rounds, kap, ROUND_K, noise)
@@ -378,25 +368,24 @@ def pgce(x, rho: float, beta: float, kappa: float,
     Half the budget preconditions; the other half runs naive_pce on the
     transformed samples at the tighter of (kappa, 1000), both of which bound
     the transformed covariance after preconditioning.  Both halves read one
-    ``_Frame`` (a new one over the array or ``_Pairs`` ``x``, or ``x`` itself,
-    holding ``ppc_range``'s map) extended to cover the clamps.  The estimate
-    U diag(lambda) U^T is conjugated back as B B^T, B = M^{-1} U
+    ``_Frame``: ``x`` itself, holding ``ppc_range``'s map, or a new one over
+    the array or ``_Pairs`` ``x``, built at the first clamp asked for.  The
+    estimate U diag(lambda) U^T is conjugated back as B B^T, B = M^{-1} U
     diag(sqrt(max(lambda, 0))), so it is PSD by construction.
     """
     x = _validate_common(x, rho, beta, kappa)
     n, d = x.shape
     kappa_eff = min(kappa, TARGET_KAPPA)
-    _, clamps = _round_clamps(n, d, beta / 2.0, kappa)
-    clamps.append(clamp_threshold_sq(kappa_eff, d, n, beta / 2.0))
-    frame = x if isinstance(x, _Frame) else _Frame(x, clamps)
-    frame.cover(clamps)
+    kaps = _round_kappas(kappa) or [kappa_eff]   # ppc's first round's clamp, else the final one
+    frame = x if isinstance(x, _Frame) else _Frame(
+        x, clamp_threshold_sq(kaps[0], d, n, beta / 2.0 / len(kaps)))
     pre = ppc(frame, rho / 2.0, beta / 2.0, kappa, noise)
     diag: dict = {}
     noisy = _noised_moment(frame, rho / 2.0, beta / 2.0, kappa_eff, noise, diag)
     b = frame.m_inv @ psd_factor(noisy)
     with np.errstate(over="ignore", invalid="ignore"):   # pgce_no_bound rejects inf
         sigma_hat = b @ b.T
-    sigma_hat = (sigma_hat + sigma_hat.T) / 2.0
+        sigma_hat = (sigma_hat + sigma_hat.T) / 2.0
     diag.update(rounds=pre.round_log, kappa_eff=kappa_eff)
     # spent: rho/2 in ppc (0 if no rounds ran, but reserved regardless) + rho/2 here
     return CovEstimate(sigma_hat=sigma_hat, budget_spent=PrivacyBudget.zcdp(rho),

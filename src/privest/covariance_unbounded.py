@@ -71,13 +71,13 @@ def _bucket_keys(norms: np.ndarray, r_min: int) -> np.ndarray:
 
 def _frame(x) -> _Frame:
     """``x`` itself when it is a frame; otherwise a frame over the non-empty
-    2-d sample array ``x`` that covers no clamp yet."""
+    2-d sample array ``x`` that has been asked for no clamp yet."""
     if isinstance(x, _Frame):
         return x
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] == 0:
         raise EmptyInputError("need a non-empty 2-d sample array")
-    return _Frame(x, [])
+    return _Frame(x, -math.inf)
 
 
 def p_estimate_trace(x, eps: float, delta: float, beta: float,
@@ -114,11 +114,11 @@ def weak_ppc_no_bound(x, rho: float, beta: float,
     Tries kappa = b, b*(99/100), ... while kappa > a/2, each attempt a
     one-step preconditioning with K = kappa/d^2 and an even share of the
     budget sized for the worst-case sweep length.  Every attempt reads the
-    same cached second moment through the frame's map, and only the noise
-    is redrawn.  Returns the first (V, K) with non-empty V, whose factor
-    (1/sqrt(K)) P_V + P_Vperp the caller applies (``ppc_range`` pushes it
-    onto its frame), or None if the sweep exhausts.  ``x`` is an array of
-    samples or a ``_Frame``.
+    same cached second moment through the frame's map, which the first
+    attempt's clamp, the loosest, extends; only the noise is redrawn.
+    Returns the first (V, K) with non-empty V, whose factor (1/sqrt(K)) P_V
+    + P_Vperp the caller applies (``ppc_range`` pushes it onto its frame),
+    or None if the sweep exhausts.  ``x`` is an array of samples or a ``_Frame``.
     """
     frame = _frame(x)
     n, d = frame.shape
@@ -135,8 +135,6 @@ def weak_ppc_no_bound(x, rho: float, beta: float,
     steps = math.ceil(math.log(2.0 * b / a) / math.log(1.0 / SWEEP_SHRINK))
     rho_step = rho / steps
     beta_step = beta / steps
-    frame.cover([clamp_threshold_sq(b, d, n, beta_step)])
-
     kappa = b
     while kappa > a / 2.0:
         b_sq = clamp_threshold_sq(kappa, d, n, beta_step)

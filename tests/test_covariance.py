@@ -285,12 +285,17 @@ class TestCachedFrame:
         got = pgce(heavy_rows, rho, beta, kappa, NoiseSource(4)).sigma_hat
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
-    def test_frame_refuses_a_looser_clamp(self, heavy_rows):
-        # rows past the frame's loosest clamp are not in its Gram matrix, so
-        # a clamp that could keep them is refused rather than answered short
-        frame = _Frame(heavy_rows, [clamp_threshold_sq(1e3, 4, 20_000, 0.05)])
-        with pytest.raises(InvalidParameterError):
-            naive_pce(frame, 1.0, 0.05, 1e4, NoiseSource.zero())
+    def test_frame_covers_a_looser_clamp_on_demand(self, heavy_rows):
+        # rows past the clamp the frame was built at are not in its Gram
+        # matrix; a looser clamp admits those it could keep, and only those
+        frame = _Frame(heavy_rows, clamp_threshold_sq(1e3, 4, 20_000, 0.05))
+        out = frame.out.size
+        b_sq = clamp_threshold_sq(1e4, 4, 20_000, 0.05)
+        cov, kept = frame.moment(b_sq)
+        want, want_kept = clamped_covariance(heavy_rows, b_sq)
+        assert kept == want_kept
+        assert out > frame.out.size == heavy_rows.shape[0] - want_kept > 0
+        assert np.linalg.norm(cov - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_refreshed_norms_match_the_map(self):
         # push leaves the norms stale; a clamp the ellipsoid cannot clear
@@ -299,7 +304,7 @@ class TestCachedFrame:
         # through M, and both ellipsoids' bounds must hold every one of them
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3_000, 32)) * np.geomspace(1.0, 1e3, 32)
-        frame = _Frame(x, [1e300])
+        frame = _Frame(x, 1e300)
         for k in (16, 3, 30):
             frame.push(np.linalg.qr(rng.standard_normal((32, k)))[0], 2.0, ROUND_SCALE)
         frame.moment(1.0)
@@ -310,6 +315,26 @@ class TestCachedFrame:
         assert frame.shapes["fit"][2] == pytest.approx(mahalanobis.max(), rel=1e-9)
         assert ellipsoid_bound(frame, "fit") >= frame.norms.max()
         assert ellipsoid_bound(frame, "norms") >= frame.norms.max()
+
+    @pytest.mark.parametrize("pushes", [3, 4])
+    def test_cover_takes_no_norm_of_a_non_finite_inverse(self, capfd, pushes):
+        # factors with K = 1e300 overflow M^-1 to inf (3 pushes), then NaN
+        # (4); an SVD of it fails, or LAPACK prints "illegal value" on fd 1.
+        # cover keeps push's bound instead, inf, and admits every out row
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((200, 3))
+        x[:10] *= 100.0
+        frame = _Frame(x, 10.0)
+        for _ in range(pushes):
+            frame.push(np.linalg.qr(rng.standard_normal((3, 3)))[0][:, :2], 1e300, 1.0)
+        assert not np.isfinite(frame.m_inv).all() and frame.out.size
+        mapped = x @ frame.m.T
+        b_sq = float(np.median(np.einsum("ij,ij->i", mapped, mapped)))
+        cov, kept = frame.moment(b_sq)
+        want, want_kept = clamped_covariance(mapped, b_sq)
+        assert kept == want_kept and frame.out.size == 0
+        assert np.linalg.norm(cov - want) <= 1e-12 * np.linalg.norm(want)
+        assert "illegal value" not in "".join(capfd.readouterr())
 
 
 def ellipsoid_bound(frame, name):
@@ -388,7 +413,7 @@ class TestLazyNorms:
         monkeypatch.setattr(_Frame, "_fit", refuse)
         monkeypatch.setattr(covariance, "_sq_under", refuse)
         clamps = [clamp_threshold_sq(k, 4, 20_000, 0.05) for k in (1e7, 1e5, 1e3, 10.0)]
-        frame = _Frame(late_rows, clamps[:1])
+        frame = _Frame(late_rows, clamps[0])
         for b_sq in clamps:
             cov, kept = frame.moment(b_sq)
             want, want_kept = clamped_covariance(late_rows, b_sq)
@@ -414,7 +439,7 @@ def random_pushes(rng, d, pushes):
 
 def map_of(vs, d, K, scale):
     """The map a frame composes from the factors with bases ``vs``."""
-    frame = _Frame(np.zeros((1, d)), [1.0])
+    frame = _Frame(np.zeros((1, d)), 1.0)
     for v in vs:
         frame.push(v, K, scale)
     return frame.m
@@ -453,15 +478,13 @@ class TestEllipsoidCertificate:
         # and below: each must clear by the ellipsoids or by an exact pass
         clamps = [3.0 * q.max(), 1.2 * q.max(), q.max(), np.quantile(q, 0.95), b_sq]
 
-        frame = _Frame(x, [b_sq])
+        frame = _Frame(x, b_sq)
         for v in vs:
             # a moment at the map so far, which drops rows, before each push
             part = np.einsum("ij,ij->i", x @ frame.m.T, x @ frame.m.T)
-            frame.cover([float(np.quantile(part, 0.9))])
             frame.moment(float(np.quantile(part, 0.9)))
             frame.push(v, K, scale)
         assert np.array_equal(frame.m, m)
-        frame.cover(clamps[:1])
         for clamp in clamps:
             cov, kept = frame.moment(float(clamp))
             want, want_kept = clamped_covariance(mapped, float(clamp))
@@ -471,8 +494,10 @@ class TestEllipsoidCertificate:
 
     def test_precond_workload_fits_once_and_never_passes(self, monkeypatch):
         # pgce at kappa = 1e6 runs 20 rounds: the ball around the rows clears
-        # the early ones, S's ellipsoid, fitted once, every later one
+        # the early ones, S's ellipsoid, fitted once, every later one.  The
+        # first clamp keeps every row, so no round covers (no spectral norm)
         passes = spy_exact_passes(monkeypatch)
+        monkeypatch.setattr(_Frame, "cover", lambda frame, b_sq: pytest.fail("covered"))
         fits, fit = [], _Frame._fit
 
         def spy(frame):
@@ -489,17 +514,19 @@ class TestEllipsoidCertificate:
 
 class TestFrameSensitivity:
     """``moment`` is what the estimators release (plus noise calibrated to
-    2 b^2 / n): frames over neighbouring samples, after the same pushes and
-    cover, must give moments at most that far apart in Frobenius norm."""
+    2 b^2 / n): frames over neighbouring samples, built at the same first
+    clamp and after the same pushes, must give moments at most that far apart
+    in Frobenius norm.  Built at b^2/4, rows reach the moment only through
+    its own ``cover``."""
 
     REPLACEMENTS = ["nan", "inf", "-inf", "zero", "1e150", "1e300", "clamp", "duplicate"]
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), pushes=st.integers(0, 3),
            K=st.sampled_from([2.0, 1e4]), scale=st.sampled_from([1.0, 1.1]),
-           kind=st.sampled_from(REPLACEMENTS))
+           kind=st.sampled_from(REPLACEMENTS), first=st.sampled_from([1.0, 0.25]))
     def test_one_row_moves_the_moment_by_at_most_2b2_over_n(self, seed, pushes, K,
-                                                            scale, kind):
+                                                            scale, kind, first):
         rng = np.random.default_rng(seed)
         n, d = 100, 3
         x = rng.standard_normal((n, d)) * np.sqrt([1.0, 30.0, 1e3])
@@ -520,10 +547,9 @@ class TestFrameSensitivity:
                     "1e150": 1e150, "1e300": 1e300}[kind]
         moments, slack = [], 0.0
         for z in (x, y):
-            frame = _Frame(z, [b_sq])
+            frame = _Frame(z, first * b_sq)
             for v in vs:
                 frame.push(v, K, scale)
-            frame.cover([b_sq])
             moments.append(frame.moment(b_sq)[0])
             slack += 1e-12 * rounding_scale(frame)
         assert np.isfinite(moments[1]).all()

@@ -15,6 +15,7 @@ from privest.covariance_unbounded import (BIG_XI, BOTTOM_KEY, BUCKET_BASE,
                                           pgce_no_bound, ppc_range,
                                           weak_ppc_no_bound)
 from privest.errors import EstimationFailedError, InvalidParameterError, PrivestError
+from privest.harness import ExperimentConfig, run_experiment
 from privest.linalg import GaussianParams, sample_gaussian
 from privest.noise import NoiseSource
 from privest.privacy import zcdp_to_approx_dp
@@ -355,6 +356,30 @@ class TestPgceNoBound:
             with pytest.raises(EstimationFailedError) as info:
                 pgce_no_bound(x, 1.0, 1e-6, 0.05, NoiseSource(seed))
         assert type(info.value) is EstimationFailedError
+
+    @pytest.mark.parametrize("d, seed", [(4, 12), (7, 6)])
+    def test_overflowing_estimate_is_symmetrised_quietly(self, d, seed):
+        # B B^T is finite here, but its symmetrisation overflows
+        x = gaussian_rows([10.0 ** 100] * d, 2000, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationFailedError) as info:
+                pgce_no_bound(x, 1.0, 1e-6, 0.05, NoiseSource(seed + 1000))
+        assert type(info.value) is EstimationFailedError
+
+    @pytest.mark.parametrize("seed, scale", [(2, 1e240), (4, 1e260)])
+    def test_lapack_prints_nothing_before_the_error(self, capfd, seed, scale):
+        # the data of `privest estimate-cov-unbounded --n 2000 --d 4
+        # --spectrum <scale> x4 --seed <seed>`, which overflow the map's
+        # inverse; LAPACK reports a bad argument on fd 1 itself, past Python
+        cfg = ExperimentConfig(task="gaussian-cov-unbounded", eps=1.0, delta=1e-6,
+                               n=2000, d=4, spectrum=[scale] * 4, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationFailedError) as info:
+                run_experiment(cfg)
+        assert type(info.value) is EstimationFailedError
+        assert "illegal value" not in "".join(capfd.readouterr())
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e160, 1e150])

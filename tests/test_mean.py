@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -205,6 +206,18 @@ class TestPme:
         y = x[2 * n:3 * n] @ pre.A.T if pre.round_log else x[2 * n:3 * n]
         inner = naive_pme(y, 1.0, 0.1, 0.05, 5000.0, 1000.0, noise)
         assert np.array_equal(got.mu_hat, pre.A_inv @ inner.mu_hat)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, 1e308])
+    def test_bad_row_in_the_mean_third_warns_nothing(self, bad):
+        # with rounds, the mapped mean third turns inf * 0 into a NaN row
+        # (and 1e308 into inf); univariate_mean maps both to fixed buckets
+        x = sample_gaussian(GaussianParams(np.zeros(4), np.diag(np.geomspace(1.0, 1e4, 4))),
+                            60_000, NoiseSource(18))
+        x[50_000] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean_est, _ = learn_gaussian(x, 1.0, 0.1, 0.05, 10.0, 1e4, NoiseSource(19))
+        assert mean_est.diagnostics["preconditioner_rounds"] and not mean_est.aborted
 
     def test_accuracy_monte_carlo(self):
         # d=4, Sigma=diag(1,10,100,1e4), ||mu|| <= 5, rho=1, n=3e5
