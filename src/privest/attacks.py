@@ -11,7 +11,6 @@ is 1/27 for the cube prior [-1/3, 1/3]).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -48,13 +47,6 @@ class FingerprintReport:
             "fp_lemma_stderr": self.fp_lemma_stderr,
             **self.meta,
         }
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "summary": self.summary(),
-            "in_scores": [float(v) for v in self.in_scores],
-            "out_scores": [float(v) for v in self.out_scores],
-        })
 
 
 def fp_score_product(est: np.ndarray, x_row: np.ndarray,

@@ -7,9 +7,10 @@ condition bound down to 1000 (``ppc``), and the full estimator that
 preconditions, estimates in the well-conditioned frame, and conjugates back
 (``pgce``).  No estimator transforms the samples: every round, and the
 final estimate, reads one cached Gram matrix through the accumulated map
-(``_Frame``), which rereads the rows only when an ellipsoid around them
-cannot rule out a drop, and conjugates back through the map's exact inverse
-in factored form.  ``covariance_unbounded`` runs its rounds on the same frame.
+(``_Frame``), which reads the rows at the first clamp asked of it, rereads
+them only when an ellipsoid around them cannot rule out a drop, and
+conjugates back through the map's exact inverse in factored form.
+``covariance_unbounded`` runs its rounds on the same frame.
 """
 
 from __future__ import annotations
@@ -80,20 +81,14 @@ def clamp_threshold_sq(kappa: float, d: int, n: int, beta: float) -> float:
     return kappa * d * (1.0 + 3.0 * math.log(2.0 * n / beta))
 
 
-def _validate_common(x, rho: float, beta: float, kappa: float):
-    """Check the parameters; return ``x`` as a float array unless a frame or pairs."""
-    x = x if isinstance(x, (_Frame, _Pairs)) else np.asarray(x, dtype=float)
-    if len(x.shape) != 2:
-        raise InvalidParameterError(f"samples must be 2-d, got shape {x.shape}")
-    if x.shape[0] == 0:
-        raise EmptyInputError("no samples")
+def _validate_common(rho: float, beta: float, kappa: float):
+    """Check the parameters."""
     if not rho > 0:
         raise InvalidParameterError(f"rho must be > 0, got {rho}")
     if not (0 < beta < 1):
         raise InvalidParameterError(f"beta must be in (0,1), got {beta}")
     if not kappa >= 1:
         raise InvalidParameterError(f"kappa must be >= 1, got {kappa}")
-    return x
 
 
 def clamped_covariance(x: np.ndarray, b_sq: float) -> tuple[np.ndarray, int]:
@@ -120,48 +115,56 @@ class _Pairs:
         self.buf = np.empty((min(self.step, self.shape[0]), self.shape[1]))
 
     def __getitem__(self, rows) -> np.ndarray:
-        if isinstance(rows, slice):
-            lo, hi, _ = rows.indices(self.shape[0])
-            out = np.subtract(self.x[2 * lo + 1:2 * hi:2], self.x[2 * lo:2 * hi:2],
-                              out=self.buf[:hi - lo])
-        else:
-            out = np.subtract(self.x[2 * rows + 1], self.x[2 * rows])
+        with np.errstate(invalid="ignore"):   # inf - inf: a NaN pair, out of every clamp
+            if isinstance(rows, slice):
+                lo, hi, _ = rows.indices(self.shape[0])
+                out = np.subtract(self.x[2 * lo + 1:2 * hi:2], self.x[2 * lo:2 * hi:2],
+                                  out=self.buf[:hi - lo])
+            else:
+                out = np.subtract(self.x[2 * rows + 1], self.x[2 * rows])
         return np.divide(out, math.sqrt(2.0), out=out)
 
 
 class _Frame:
     """Samples seen through an accumulated map M, never transformed.
 
-    Reads the rows of ``x`` (an array or a ``_Pairs``) by slice or index, and
-    holds the indices ``idx`` of those admitted (some clamp asked for so far
-    could keep them; None: all), their clamped second moment S = G/n, their
-    squared norms under M, the indices ``out`` of the others, and M with its
-    exact inverse, built one factor scale * (I - c V V^T) per ``push``.
+    Reads the rows of ``x`` (an array or a ``_Pairs``) by slice or index, in
+    one whole pass at the first ``moment`` (admitting the rows its clamp could
+    keep) or the first ``sq_norms`` (admitting none).  It then holds the
+    indices ``idx`` of those admitted (some clamp asked for so far could keep
+    them; None: all), their clamped second moment S = G/n, their squared norms
+    under M and the indices ``out`` of the others (None: not read yet).  M and
+    its exact inverse are built one factor scale * (I - c V V^T) per ``push``.
     ``shape`` is the samples' shape.  ``push`` leaves the norms stale;
-    ``moment`` recomputes them only if no ellipsoid [T, T^-1, r] in ``shapes``,
-    |T x|^2 <= r for every row (the last exact norms', then S's, fitted once),
-    rules out a drop.  A frame never pushed keeps exact norms and never fits.
+    ``moment`` recomputes them only if S's ellipsoid [T, T^-1, r], |T x|^2 <= r
+    for every admitted row, fitted once, cannot rule out a drop.  A frame
+    never pushed keeps exact norms and never fits.
     """
 
-    def __init__(self, x, b_sq: float):
-        """``b_sq`` is the first squared-norm clamp ``moment`` will be asked
-        for (-inf: none yet).  An array is read as one block."""
-        self.x, self.shape = x, x.shape
-        self.rounds, self.stale, self.fitted, self.shapes = 0, False, False, {}
+    def __init__(self, x):
+        self.x, self.shape, self.out = x, x.shape, None
+        self.rounds, self.stale, self.fitted, self.ellipsoid = 0, False, False, None
         self.m, self.m_inv = np.eye(x.shape[1]), np.eye(x.shape[1])
         self.inv_norm_sq = 1.0   # bounds |M^{-1}|_2^2: |M x|^2 >= |x|^2 / it
+
+    def _read(self, reach: float):
+        """The one pass over the rows: S holds those with |x|^2 <= ``reach``.
+        An array is read as one block; a block with an out row sums its kept
+        rows in copies of at most a ``_Pairs`` block."""
         # Rows past the reach are dropped by every clamp asked for so far.  Keeping
         # them out of S stops a huge finite row from cancelling the rest when dropped.
-        self.reach = b_sq
-        n = x.shape[0]
-        step = n if isinstance(x, np.ndarray) else x.step
+        self.reach, (n, d) = reach, self.shape
+        step = n if isinstance(self.x, np.ndarray) else self.x.step
+        sub = max(1, _BLOCK_MADDS // d ** 2)
         norms, keep, gram = np.empty(n), np.empty(n, dtype=bool), None
         for lo in range(0, n, step):
-            rows, at = x[lo:lo + step], slice(lo, lo + step)
+            rows, at = self.x[lo:lo + step], slice(lo, lo + step)
             np.einsum("ij,ij->i", rows, rows, out=norms[at])
-            np.less_equal(norms[at], self.reach, out=keep[at])
-            rows = rows if keep[at].all() else rows[keep[at]]
-            gram = rows.T @ rows if gram is None else gram + rows.T @ rows
+            np.less_equal(norms[at], reach, out=keep[at])
+            parts = [rows] if keep[at].all() else (
+                rows[s:s + sub][keep[lo + s:lo + s + sub]] for s in range(0, len(rows), sub))
+            for part in parts:
+                gram = part.T @ part if gram is None else gram + part.T @ part
         self.idx = None if keep.all() else np.flatnonzero(keep)
         self.norms = norms if self.idx is None else norms[keep]
         self.out = np.flatnonzero(np.logical_not(keep, out=keep))   # no n-byte copy
@@ -183,38 +186,40 @@ class _Frame:
         self.second = self.second + (second + second.T) / 2.0
         self.idx = np.concatenate([self.idx, self.out[add]])
         self.norms = np.concatenate([self.norms, _sq_under(new, self.m)])
-        for shape in self.shapes.values():
-            shape[2] = max(shape[2], _sq_under(new, shape[0]).max(initial=0.0))
+        if self.ellipsoid:
+            t, _, r = self.ellipsoid
+            self.ellipsoid[2] = max(r, _sq_under(new, t).max(initial=0.0))
         self.out, self.out_norms = self.out[~add], self.out_norms[~add]
 
     def _fit(self):
         """Fit S = U diag(w) U^T's ellipsoid, T = diag(w)^{-1/2} U^T and r the
         largest |T x|^2, in one pass that uses the stale norms as scratch; none
-        if S is non-finite or near singular."""
+        if S is non-finite or zero.  Any invertible T bounds |M x|, so w is
+        floored at 1e-12 of its largest: rows in a subspace are fitted too."""
         self.fitted = True
         if np.isfinite(self.second).all():   # LAPACK may not return on NaN
             w, u = sym_eigh(self.second)
-            if w[0] > 1e-12 * w[-1]:
+            w = np.maximum(w, 1e-12 * w[-1])
+            if w[0] > 0:
                 t = u.T / np.sqrt(w)[:, None]
-                self.shapes["fit"] = [t, u * np.sqrt(w),
-                                      _sq_under(self.x, t, self.norms, self.idx).max(initial=0.0)]
+                self.ellipsoid = [t, u * np.sqrt(w),
+                                  _sq_under(self.x, t, self.norms, self.idx).max(initial=0.0)]
 
     def _certified(self, b_sq: float) -> bool:
-        """Whether an ellipsoid proves that no admitted row has |M x|^2 > b_sq,
-        as |M x|^2 <= |M T^-1|_2^2 |T x|^2 <= r lambda_max(M T^-1 (M T^-1)^T)."""
-        for name in ("norms", "fit"):
-            if name == "fit" and not self.fitted:
-                self._fit()
-            if name in self.shapes:
-                _, t_inv, r = self.shapes[name]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    p = self.m @ t_inv
-                    g = p @ p.T   # non-finite only if it overflowed; LAPACK rejects it
-                    # relative rounding in r, lambda_max and the exact norms: d^1.5 eps
-                    # sqrt(w_max/w_min) (< 1e-5 at d <= 1000, _fit's floor) + d eps cond(M)
-                    if np.isfinite(g).all() and 1.01 * r * sym_eigvals(g)[-1] <= b_sq:
-                        return True
-        return False
+        """Whether S's ellipsoid, fitted at the first call, proves that no
+        admitted row has |M x|^2 > b_sq, as
+        |M x|^2 <= |M T^-1|_2^2 |T x|^2 <= r lambda_max(M T^-1 (M T^-1)^T)."""
+        if not self.fitted:
+            self._fit()
+        if self.ellipsoid is None:
+            return False
+        _, t_inv, r = self.ellipsoid
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = self.m @ t_inv
+            g = p @ p.T   # non-finite only if it overflowed; LAPACK rejects it
+            # relative rounding in r, lambda_max and the exact norms: d^1.5 eps
+            # sqrt(w_max/w_min) (< 1e-5 at d <= 1000, _fit's floor) + d eps cond(M)
+            return np.isfinite(g).all() and 1.01 * r * sym_eigvals(g)[-1] <= b_sq
 
     def _exact_norms(self) -> np.ndarray:
         """Squared norms |M x|^2 of the admitted rows, recomputed after a push."""
@@ -224,7 +229,10 @@ class _Frame:
 
     def moment(self, b_sq: float) -> tuple[np.ndarray, int]:
         """clamped_covariance of the mapped rows: M (S - dropped x x^T / n) M^T,
-        first ``cover``ing ``b_sq`` if it could keep a row past the reach."""
+        first reading the rows at ``b_sq`` if no moment was asked for yet, and
+        ``cover``ing it if it could keep a row past the reach."""
+        if self.out is None:
+            self._read(b_sq)
         with np.errstate(over="ignore"):
             if self.out.size and b_sq * self.inv_norm_sq > self.reach:
                 self.cover(b_sq)
@@ -240,7 +248,10 @@ class _Frame:
         return (cov + cov.T) / 2.0, kept
 
     def sq_norms(self) -> np.ndarray:
-        """Exact squared norms |M x|^2 of every row, the rows in S first."""
+        """Exact squared norms |M x|^2 of every row, the rows in S first.  A
+        frame first read here admits no row to S."""
+        if self.out is None:
+            self._read(-math.inf)
         out = _sq_under(self.x[self.out], self.m) if self.rounds else self.out_norms
         return np.concatenate([self._exact_norms(), out])
 
@@ -248,8 +259,6 @@ class _Frame:
         """Compose the factor scale * (I - (1 - 1/sqrt(K)) V V^T), K >= 1,
         onto M, and its inverse (1/scale) * (I + (sqrt(K) - 1) V V^T) onto
         M^{-1}, whose spectral norm is sqrt(K)/scale."""
-        if not self.stale:   # the ellipsoid the exact norms give, before they go stale
-            self.shapes["norms"] = [self.m, self.m_inv, self.norms.max(initial=0.0)]
         self.m = scale * (self.m - (1.0 - 1.0 / math.sqrt(K)) * (v @ (v.T @ self.m)))
         with np.errstate(over="ignore", invalid="ignore"):
             self.m_inv = (self.m_inv + (math.sqrt(K) - 1.0) * ((self.m_inv @ v) @ v.T)) / scale
@@ -271,13 +280,26 @@ def _sq_under(rows, t: np.ndarray, out=None, idx=None) -> np.ndarray:
     return out
 
 
+def _frame(x) -> _Frame:
+    """``x`` itself when it is a frame; otherwise a frame, not yet read, over
+    the samples ``x``: a non-empty 2-d array or a ``_Pairs``."""
+    if isinstance(x, _Frame):
+        return x
+    x = x if isinstance(x, _Pairs) else np.asarray(x, dtype=float)
+    if len(x.shape) != 2:
+        raise InvalidParameterError(f"samples must be 2-d, got shape {x.shape}")
+    if x.shape[0] == 0:
+        raise EmptyInputError("no samples")
+    return _Frame(x)
+
+
 def _noised_moment(x, rho: float, beta: float, kappa: float, noise: NoiseSource,
                    diagnostics: Optional[dict]) -> np.ndarray:
     """naive_pce before its PSD projection."""
-    x = _validate_common(x, rho, beta, kappa)
-    n, d = x.shape
+    frame = _frame(x)
+    _validate_common(rho, beta, kappa)
+    n, d = frame.shape
     b_sq = clamp_threshold_sq(kappa, d, n, beta)
-    frame = x if isinstance(x, _Frame) else _Frame(x, b_sq)
     cov, kept = frame.moment(b_sq)
     delta_f = 2.0 * b_sq / n
     noisy = gaussian_mechanism_symmetric(cov, delta_f, rho, noise)
@@ -293,8 +315,9 @@ def naive_pce(x, rho: float, beta: float, kappa: float,
 
     Dropping rows over the clamp threshold bounds the Frobenius sensitivity
     of the average by 2*B^2/n, which calibrates the symmetric Gaussian noise.
-    The PSD projection can only improve the estimate.  ``x`` is an array of
-    samples or a ``_Frame`` of them.
+    The PSD projection can only improve the estimate.  ``x`` is samples (an
+    array or a ``_Pairs``) or a ``_Frame`` of them, read at this clamp if this
+    is the first moment asked of it.
     """
     return project_psd(_noised_moment(x, rho, beta, kappa, noise, diagnostics))
 
@@ -320,17 +343,6 @@ def weak_ppc(x, rho: float, beta: float, kappa: float, K: float,
     return v, (a + a.T) / 2.0
 
 
-def _round_kappas(kappa: float) -> list[float]:
-    """ppc's round bounds: kappa, 0.7*kappa, ... while above TARGET_KAPPA."""
-    if kappa <= TARGET_KAPPA:
-        return []
-    t_rounds = math.ceil(math.log(kappa / TARGET_KAPPA) / math.log(1.0 / ROUND_SHRINK))
-    kaps = [kappa]
-    for _ in range(t_rounds - 1):
-        kaps.append(kaps[-1] * ROUND_SHRINK)
-    return kaps
-
-
 def ppc(x, rho: float, beta: float, kappa: float,
         noise: NoiseSource) -> Preconditioner:
     """Recursive private preconditioning down to the target bound.
@@ -340,25 +352,22 @@ def ppc(x, rho: float, beta: float, kappa: float,
     0.7 while the accumulated A keeps I <= A Sigma A^T <= 1000 I w.h.p.
     ``x`` is samples (an array or a ``_Pairs``) or a ``_Frame``, onto which
     the rounds push their factors (A is its whole map).  With no rounds, no
-    sample is read, so a ``_Pairs`` computes no pair.
+    sample is read, so a ``_Pairs`` computes no pair, and no budget is spent.
     """
-    x = _validate_common(x, rho, beta, kappa)
-    n, d = x.shape
-    kaps = _round_kappas(kappa)
-    t_rounds = len(kaps)
-    if not t_rounds:
-        return Preconditioner(A=np.eye(d), A_inv=np.eye(d),
-                              budget_spent=PrivacyBudget.zcdp(0.0))
-    frame = x if isinstance(x, _Frame) else _Frame(
-        x, clamp_threshold_sq(kaps[0], d, n, beta / t_rounds))
+    frame = _frame(x)
+    _validate_common(rho, beta, kappa)
+    t_rounds = 0 if kappa <= TARGET_KAPPA else math.ceil(
+        math.log(kappa / TARGET_KAPPA) / math.log(1.0 / ROUND_SHRINK))
     log: list[RoundRecord] = []
-    for kap in kaps:
+    kap = kappa   # each round's bound: kappa, 0.7*kappa, ...
+    for _ in range(t_rounds):
         v, _ = weak_ppc(frame, rho / t_rounds, beta / t_rounds, kap, ROUND_K, noise)
         frame.push(v, ROUND_K, ROUND_SCALE)
         log.append(RoundRecord(kappa=kap, threshold=kap / 2.0, subspace_dim=int(v.shape[1]),
                                rho=rho / t_rounds, K=ROUND_K))
+        kap *= ROUND_SHRINK
     return Preconditioner(A=frame.m, A_inv=frame.m_inv, round_log=log,
-                          budget_spent=PrivacyBudget.zcdp(rho))
+                          budget_spent=PrivacyBudget.zcdp(rho if t_rounds else 0.0))
 
 
 def pgce(x, rho: float, beta: float, kappa: float,
@@ -369,16 +378,14 @@ def pgce(x, rho: float, beta: float, kappa: float,
     transformed samples at the tighter of (kappa, 1000), both of which bound
     the transformed covariance after preconditioning.  Both halves read one
     ``_Frame``: ``x`` itself, holding ``ppc_range``'s map, or a new one over
-    the array or ``_Pairs`` ``x``, built at the first clamp asked for.  The
-    estimate U diag(lambda) U^T is conjugated back as B B^T, B = M^{-1} U
+    the array or ``_Pairs`` ``x``, which reads its rows at the first clamp it
+    is asked for: ``ppc``'s first round's, else the final one.  The estimate
+    U diag(lambda) U^T is conjugated back as B B^T, B = M^{-1} U
     diag(sqrt(max(lambda, 0))), so it is PSD by construction.
     """
-    x = _validate_common(x, rho, beta, kappa)
-    n, d = x.shape
+    frame = _frame(x)
+    _validate_common(rho, beta, kappa)
     kappa_eff = min(kappa, TARGET_KAPPA)
-    kaps = _round_kappas(kappa) or [kappa_eff]   # ppc's first round's clamp, else the final one
-    frame = x if isinstance(x, _Frame) else _Frame(
-        x, clamp_threshold_sq(kaps[0], d, n, beta / 2.0 / len(kaps)))
     pre = ppc(frame, rho / 2.0, beta / 2.0, kappa, noise)
     diag: dict = {}
     noisy = _noised_moment(frame, rho / 2.0, beta / 2.0, kappa_eff, noise, diag)

@@ -6,9 +6,10 @@ interval; that interval drives a downward sweep of one-step preconditioning
 attempts; up to d such rounds reduce the spectrum into a certified
 O(d^4) band, after which the bounded-condition-number estimator applies.
 The whole pipeline runs on one ``covariance._Frame`` over the original
-rows: the votes read its mapped norms, the sweeps its cached second moment,
-each round pushes its factor onto its map, and ``pgce`` finishes on the
-same frame, so no sample is transformed and no inverse is taken densely.
+rows: the votes read its mapped norms (the first reads the rows, admitting
+none to the second moment), the sweeps its cached second moment, each round
+pushes its factor onto its map, and ``pgce`` finishes on the same frame,
+so no sample is transformed and no inverse is taken densely.
 
 Privacy here is approximate (eps, delta)-DP: the norm vote uses the stable
 histogram, and the zCDP rounds are converted and composed per run.
@@ -23,9 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .covariance import (CovEstimate, Preconditioner, RoundRecord,
-                         clamp_threshold_sq, _Frame, _split_from_noisy_cov, pgce)
-from .errors import (EmptyInputError, EstimationFailedError,
-                     InvalidParameterError)
+                         clamp_threshold_sq, _frame, _split_from_noisy_cov, pgce)
+from .errors import EstimationFailedError, InvalidParameterError
 from .histogram import argmax_bucket, stable_histogram_approx_dp
 from .noise import NoiseSource
 from .privacy import (PrivacyBudget, compose_approx_dp, gaussian_sigma,
@@ -67,17 +67,6 @@ def _bucket_keys(norms: np.ndarray, r_min: int) -> np.ndarray:
         r = np.ceil(np.log(norms) / math.log(BUCKET_BASE) - 1e-9)
     ok = np.isfinite(norms) & (norms > 0) & (r >= r_min)
     return np.where(ok, r, BOTTOM_KEY).astype(np.int64)
-
-
-def _frame(x) -> _Frame:
-    """``x`` itself when it is a frame; otherwise a frame over the non-empty
-    2-d sample array ``x`` that has been asked for no clamp yet."""
-    if isinstance(x, _Frame):
-        return x
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise EmptyInputError("need a non-empty 2-d sample array")
-    return _Frame(x, -math.inf)
 
 
 def p_estimate_trace(x, eps: float, delta: float, beta: float,

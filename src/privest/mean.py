@@ -75,7 +75,8 @@ def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
     else:
         # Scale vote: |N(0, sigma^2)| differences, geometric base-2 buckets.
         npairs = 2 * (hist_block.shape[0] // 2)
-        pairs = (hist_block[1:npairs:2] - hist_block[0:npairs:2]) / math.sqrt(2.0)
+        with np.errstate(invalid="ignore"):   # inf - inf: a NaN pair, bucket k_lo below
+            pairs = (hist_block[1:npairs:2] - hist_block[0:npairs:2]) / math.sqrt(2.0)
         absd = np.abs(pairs)
         k_lo = -8
         k_hi = math.ceil(math.log2(math.sqrt(kappa))) + 8

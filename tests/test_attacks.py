@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -142,14 +141,12 @@ class TestRunTracingAttack:
                                noise=NoiseSource(7))
         assert len(calls) == 1
 
-    def test_json_round_trip_and_summary(self):
+    def test_summary(self):
         report = run_tracing_attack(lambda x: x.mean(axis=0), "product",
                                     n=8, d=4, trials=5, noise=NoiseSource(8))
-        blob = json.loads(report.to_json())
-        assert blob["summary"]["trials"] == 5
-        assert blob["summary"]["kind"] == "product"
-        assert len(blob["in_scores"]) == 5
+        assert len(report.in_scores) == 5
         s = report.summary()
+        assert s["trials"] == 5 and s["kind"] == "product"
         assert s["separation"] == report.separation
         assert s["n"] == 8 and s["d"] == 4
 

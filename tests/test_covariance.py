@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,9 +287,10 @@ class TestCachedFrame:
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_frame_covers_a_looser_clamp_on_demand(self, heavy_rows):
-        # rows past the clamp the frame was built at are not in its Gram
+        # rows past the clamp the frame was first read at are not in its Gram
         # matrix; a looser clamp admits those it could keep, and only those
-        frame = _Frame(heavy_rows, clamp_threshold_sq(1e3, 4, 20_000, 0.05))
+        frame = _Frame(heavy_rows)
+        frame.moment(clamp_threshold_sq(1e3, 4, 20_000, 0.05))
         out = frame.out.size
         b_sq = clamp_threshold_sq(1e4, 4, 20_000, 0.05)
         cov, kept = frame.moment(b_sq)
@@ -301,10 +303,11 @@ class TestCachedFrame:
         # push leaves the norms stale; a clamp the ellipsoid cannot clear
         # forces one blocked exact pass (12 blocks of 256 rows, the last one
         # partial), after which they must equal the norms of the rows mapped
-        # through M, and both ellipsoids' bounds must hold every one of them
+        # through M, and the ellipsoid's bound must hold every one of them
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3_000, 32)) * np.geomspace(1.0, 1e3, 32)
-        frame = _Frame(x, 1e300)
+        frame = _Frame(x)
+        frame.moment(1e300)
         for k in (16, 3, 30):
             frame.push(np.linalg.qr(rng.standard_normal((32, k)))[0], 2.0, ROUND_SCALE)
         frame.moment(1.0)
@@ -312,9 +315,8 @@ class TestCachedFrame:
         want = np.einsum("ij,ij->i", x @ frame.m.T, x @ frame.m.T)
         assert np.allclose(frame.norms, want, rtol=1e-12, atol=0.0)
         mahalanobis = np.einsum("ij,ij->i", x, np.linalg.solve(frame.second, x.T).T)
-        assert frame.shapes["fit"][2] == pytest.approx(mahalanobis.max(), rel=1e-9)
-        assert ellipsoid_bound(frame, "fit") >= frame.norms.max()
-        assert ellipsoid_bound(frame, "norms") >= frame.norms.max()
+        assert frame.ellipsoid[2] == pytest.approx(mahalanobis.max(), rel=1e-9)
+        assert ellipsoid_bound(frame) >= frame.norms.max()
 
     @pytest.mark.parametrize("pushes", [3, 4])
     def test_cover_takes_no_norm_of_a_non_finite_inverse(self, capfd, pushes):
@@ -324,7 +326,8 @@ class TestCachedFrame:
         rng = np.random.default_rng(2)
         x = rng.standard_normal((200, 3))
         x[:10] *= 100.0
-        frame = _Frame(x, 10.0)
+        frame = _Frame(x)
+        frame.moment(10.0)
         for _ in range(pushes):
             frame.push(np.linalg.qr(rng.standard_normal((3, 3)))[0][:, :2], 1e300, 1.0)
         assert not np.isfinite(frame.m_inv).all() and frame.out.size
@@ -337,26 +340,27 @@ class TestCachedFrame:
         assert "illegal value" not in "".join(capfd.readouterr())
 
 
-def ellipsoid_bound(frame, name):
-    """r lambda_max(M T^-1 (M T^-1)^T), the bound one of the frame's
-    ellipsoids |T x|^2 <= r puts on its largest squared norm under M."""
-    _, t_inv, r = frame.shapes[name]
+def ellipsoid_bound(frame):
+    """r lambda_max(M T^-1 (M T^-1)^T), the bound the frame's ellipsoid
+    |T x|^2 <= r puts on its largest squared norm under M."""
+    _, t_inv, r = frame.ellipsoid
     p = frame.m @ t_inv
     return r * np.linalg.eigvalsh(p @ p.T)[-1]
 
 
 def spy_exact_passes(monkeypatch):
     """Record, for each exact pass over a frame's rows, the frame's round
-    count and each ellipsoid's bound less the exact largest norm."""
+    count and its ellipsoid's bound less the exact largest norm (None: no
+    ellipsoid)."""
     passes, exact = [], _Frame._exact_norms
 
     def spy(frame):
         stale = frame.stale
-        bounds = {name: ellipsoid_bound(frame, name) for name in frame.shapes}
+        bound = ellipsoid_bound(frame) if frame.ellipsoid else None
         norms = exact(frame)
         if stale:
             top = norms.max(initial=0.0)
-            passes.append((frame.rounds, {k: b - top for k, b in bounds.items()}))
+            passes.append((frame.rounds, None if bound is None else bound - top))
         return norms
 
     monkeypatch.setattr(_Frame, "_exact_norms", spy)
@@ -390,9 +394,8 @@ class TestLazyNorms:
         # dropped later, each time in a round that ran one
         assert 0 not in refreshed and not dropped[0].any()
         assert late.size and set(late.tolist()) <= set(refreshed)
-        # S's ellipsoid was fitted, and every bound held wherever it was tried
-        assert all(set(slack) == {"norms", "fit"} for _, slack in passes)
-        assert min(min(slack.values()) for _, slack in passes) >= 0.0
+        # S's ellipsoid was fitted, and its bound held wherever it was tried
+        assert all(slack is not None and slack >= 0.0 for _, slack in passes)
 
     def test_late_drop_pgce_matches_materialised_loop(self, late_rows):
         rho, beta, kappa = 1.0, 0.05, 1e5
@@ -413,7 +416,7 @@ class TestLazyNorms:
         monkeypatch.setattr(_Frame, "_fit", refuse)
         monkeypatch.setattr(covariance, "_sq_under", refuse)
         clamps = [clamp_threshold_sq(k, 4, 20_000, 0.05) for k in (1e7, 1e5, 1e3, 10.0)]
-        frame = _Frame(late_rows, clamps[0])
+        frame = _Frame(late_rows)
         for b_sq in clamps:
             cov, kept = frame.moment(b_sq)
             want, want_kept = clamped_covariance(late_rows, b_sq)
@@ -439,7 +442,7 @@ def random_pushes(rng, d, pushes):
 
 def map_of(vs, d, K, scale):
     """The map a frame composes from the factors with bases ``vs``."""
-    frame = _Frame(np.zeros((1, d)), 1.0)
+    frame = _Frame(np.zeros((1, d)))
     for v in vs:
         frame.push(v, K, scale)
     return frame.m
@@ -454,12 +457,14 @@ def rounding_scale(frame):
 
 class TestEllipsoidCertificate:
     """Whether ``moment`` skips the pass over the rows or not, it must give
-    the clamped second moment of the rows mapped through M."""
+    the clamped second moment of the rows mapped through M, also when the
+    factors are pushed before the frame first reads its rows."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), pushes=st.integers(0, 3),
-           K=st.sampled_from([2.0, 1e4]), scale=st.sampled_from([1.0, 1.1]))
-    def test_moment_matches_mapped_reference(self, seed, pushes, K, scale):
+           K=st.sampled_from([2.0, 1e4]), scale=st.sampled_from([1.0, 1.1]),
+           read_first=st.booleans())
+    def test_moment_matches_mapped_reference(self, seed, pushes, K, scale, read_first):
         rng = np.random.default_rng(seed)
         n, d = 200, int(rng.integers(2, 7))
         x = rng.standard_normal((n, d)) * np.sqrt(np.geomspace(1.0, 1e4, d))
@@ -475,14 +480,15 @@ class TestEllipsoidCertificate:
         q = np.einsum("ij,ij->i", mapped, mapped)
         b_sq = float(q[40])
         # clamps from far above every row down to the largest row exactly
-        # and below: each must clear by the ellipsoids or by an exact pass
+        # and below: each must clear by the ellipsoid or by an exact pass
         clamps = [3.0 * q.max(), 1.2 * q.max(), q.max(), np.quantile(q, 0.95), b_sq]
 
-        frame = _Frame(x, b_sq)
+        frame = _Frame(x)
         for v in vs:
-            # a moment at the map so far, which drops rows, before each push
-            part = np.einsum("ij,ij->i", x @ frame.m.T, x @ frame.m.T)
-            frame.moment(float(np.quantile(part, 0.9)))
+            if read_first:
+                # a moment at the map so far, which drops rows, before each push
+                part = np.einsum("ij,ij->i", x @ frame.m.T, x @ frame.m.T)
+                frame.moment(float(np.quantile(part, 0.9)))
             frame.push(v, K, scale)
         assert np.array_equal(frame.m, m)
         for clamp in clamps:
@@ -492,10 +498,12 @@ class TestEllipsoidCertificate:
             assert np.linalg.norm(cov - want) <= 1e-12 * rounding_scale(frame)
         assert want_kept < n
 
-    def test_precond_workload_fits_once_and_never_passes(self, monkeypatch):
-        # pgce at kappa = 1e6 runs 20 rounds: the ball around the rows clears
-        # the early ones, S's ellipsoid, fitted once, every later one.  The
-        # first clamp keeps every row, so no round covers (no spectral norm)
+    @pytest.mark.parametrize("subspace", [False, True])
+    def test_precond_workload_fits_once_and_never_passes(self, monkeypatch, subspace):
+        # pgce at kappa = 1e6 runs 20 rounds: S's ellipsoid, fitted at the
+        # first stale moment (the second round's), clears every one after
+        # the first, also when the rows lie in a subspace and S is singular.
+        # The first clamp keeps every row, so no round covers (no spectral norm)
         passes = spy_exact_passes(monkeypatch)
         monkeypatch.setattr(_Frame, "cover", lambda frame, b_sq: pytest.fail("covered"))
         fits, fit = [], _Frame._fit
@@ -506,18 +514,20 @@ class TestEllipsoidCertificate:
 
         monkeypatch.setattr(_Frame, "_fit", spy)
         x = gaussian_rows(np.geomspace(1.0, 1e6, 32), 20_000, 8)
+        if subspace:
+            x[:, 0] = 0.0
         est = pgce(x, 1.0, 0.05, 1e6, NoiseSource(8))
         assert len(est.diagnostics["rounds"]) == 20
-        assert len(fits) == 1 and fits[0] > 1
+        assert fits == [1]
         assert passes == []
 
 
 class TestFrameSensitivity:
     """``moment`` is what the estimators release (plus noise calibrated to
-    2 b^2 / n): frames over neighbouring samples, built at the same first
+    2 b^2 / n): frames over neighbouring samples, first read at the same
     clamp and after the same pushes, must give moments at most that far apart
-    in Frobenius norm.  Built at b^2/4, rows reach the moment only through
-    its own ``cover``."""
+    in Frobenius norm.  First read at b^2/4, rows reach the moment only
+    through its own ``cover``."""
 
     REPLACEMENTS = ["nan", "inf", "-inf", "zero", "1e150", "1e300", "clamp", "duplicate"]
 
@@ -547,7 +557,8 @@ class TestFrameSensitivity:
                     "1e150": 1e150, "1e300": 1e300}[kind]
         moments, slack = [], 0.0
         for z in (x, y):
-            frame = _Frame(z, first * b_sq)
+            frame = _Frame(z)
+            frame.moment(first * b_sq)
             for v in vs:
                 frame.push(v, K, scale)
             moments.append(frame.moment(b_sq)[0])
@@ -587,13 +598,13 @@ class TestPairSource:
             b_sq = clamp_threshold_sq(min(kappa, TARGET_KAPPA), d, n // 2, 0.025)
             x[rows], x[rows + 1] = 0.0, 0.0
             x[rows + 1, 0] = math.sqrt(2.0 * 2.0 * b_sq)
-        built, init = [], _Frame.__init__
+        built, read = [], _Frame._read
 
-        def spy(frame, rows_in, clamps):
-            init(frame, rows_in, clamps)
+        def spy(frame, reach):
+            read(frame, reach)
             built.append((frame.norms.copy(), frame.out.copy()))
 
-        monkeypatch.setattr(_Frame, "__init__", spy)
+        monkeypatch.setattr(_Frame, "_read", spy)
         got = pgce(_Pairs(x), 1.0, 0.05, kappa, NoiseSource(7))
         want = pgce(pairs_of(x), 1.0, 0.05, kappa, NoiseSource(7))
         (lazy_norms, lazy_out), (whole_norms, whole_out) = built
@@ -617,3 +628,59 @@ class TestPairSource:
         assert np.array_equal(pairs[1:2], want[1:2])
         idx = np.arange(n // 2)[::-1]
         assert np.array_equal(pairs[idx], want[idx])
+
+
+def spy_reads(monkeypatch):
+    """Record the reach of every pass a frame makes over all its rows."""
+    reaches, read = [], _Frame._read
+
+    def spy(frame, reach):
+        reaches.append(reach)
+        read(frame, reach)
+
+    monkeypatch.setattr(_Frame, "_read", spy)
+    return reaches
+
+
+class TestFirstRead:
+    """No caller sizes a frame: it reads its rows once, at the first clamp
+    it is asked for, which is the one the estimators compute for it."""
+
+    @pytest.mark.parametrize("pairs", [False, True])
+    @pytest.mark.parametrize("kappa, rounds", [(1e5, 13), (100.0, 0)])
+    def test_pgce_reads_once_at_its_first_clamp(self, monkeypatch, pairs, kappa, rounds):
+        d, n = 4, 20_000
+        x = gaussian_rows(np.geomspace(1.0, kappa, d), n, 22)
+        reaches = spy_reads(monkeypatch)
+        est = pgce(_Pairs(x) if pairs else x, 1.0, 0.05, kappa, NoiseSource(9))
+        assert len(est.diagnostics["rounds"]) == rounds
+        # ppc's first round at kappa 1e5, its beta 0.025 split over 13 rounds;
+        # at kappa 100 the final estimate's, with beta 0.025
+        beta = 0.05 / 2.0 / max(rounds, 1)
+        assert reaches == [clamp_threshold_sq(kappa, d, n // 2 if pairs else n, beta)]
+
+    def test_ppc_without_rounds_reads_nothing(self, monkeypatch):
+        reaches = spy_reads(monkeypatch)
+        x = gaussian_rows([1.0, 10.0], 1_000, 23)
+        for samples in (x, _Pairs(x)):
+            pre = ppc(samples, 1.0, 0.05, TARGET_KAPPA, NoiseSource(0))
+            assert np.array_equal(pre.A, np.eye(2)) and np.array_equal(pre.A_inv, np.eye(2))
+            assert pre.round_log == [] and pre.budget_spent.rho == 0.0
+        assert reaches == []
+
+    def test_out_rows_cost_no_copy_of_the_rows(self):
+        # an array is read as one block; with a row out of it, its kept rows
+        # are summed a sub-block at a time.  Copying them whole would take
+        # 256 bytes per row of x
+        n, d = 50_000, 32
+        x = gaussian_rows(np.geomspace(1.0, 1e6, d), n, 24)
+        x[[7, 20_000, 40_000]] = 1e150
+        pgce(x[:2_000], 1.0, 0.05, 1e6, NoiseSource(8))   # warm up
+        tracemalloc.start()
+        try:
+            est = pgce(x, 1.0, 0.05, 1e6, NoiseSource(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.diagnostics["dropped"] == 3
+        assert peak / n <= 40.0

@@ -342,8 +342,7 @@ class TestPgceNoBound:
         # that must end in EstimationFailedError, not an OverflowError or
         # a silent non-finite estimate
         x = gaussian_rows([1.0] * 4, 2000, 100 + seed) * scale
-        with np.errstate(all="ignore"), pytest.raises(EstimationFailedError,
-                                                      match=where):
+        with pytest.raises(EstimationFailedError, match=where):
             pgce_no_bound(x, 1.0, 1e-6, 0.05, NoiseSource(seed))
 
     @pytest.mark.parametrize("seed", range(6))
@@ -487,11 +486,10 @@ class TestOneFrame:
         # the frame must treat that as no certificate, not hand LAPACK an inf
         # matrix (whose LinAlgError is no PrivestError)
         x = np.random.default_rng(0).standard_normal((2_000, 4)) * 1e100
-        with np.errstate(all="ignore"):
-            try:
-                pgce_no_bound(x, 1.0, 1e-6, 0.05, NoiseSource(0))
-            except PrivestError:
-                pass
+        try:
+            pgce_no_bound(x, 1.0, 1e-6, 0.05, NoiseSource(0))
+        except PrivestError:
+            pass
 
 
 @pytest.mark.parametrize("data_seed, noise_seed", [

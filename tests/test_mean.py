@@ -106,6 +106,17 @@ class TestUnivariateMean:
         est = univariate_mean(x, 1.0, 0.05, 2.5, 1.0, NoiseSource.zero())
         assert est.weak_estimate == bucket
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_adjacent_infinite_samples_warn_nothing(self, bad):
+        # two same-sign infinities make a NaN scale pair, inf - inf, which
+        # votes for the lowest scale bucket
+        x = 1.0 + NoiseSource(5).gaussian(3.0, size=4000)
+        x[:2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = univariate_mean(x, 1.0, 0.05, 10.0, 100.0, NoiseSource(6))
+        assert not est.aborted
+
     @pytest.mark.parametrize("kappa, mu, sd, seed, mu_hat, sigma_est", [
         (1.0, -2.3, 1.0, 0, -2.2951454980791226, None),
         (1.0, -2.3, 1.0, 1, -2.306048523047428, None),
@@ -207,13 +218,15 @@ class TestPme:
         inner = naive_pme(y, 1.0, 0.1, 0.05, 5000.0, 1000.0, noise)
         assert np.array_equal(got.mu_hat, pre.A_inv @ inner.mu_hat)
 
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, 1e308])
-    def test_bad_row_in_the_mean_third_warns_nothing(self, bad):
+    @pytest.mark.parametrize("bad, rows", [(math.inf, 1), (-math.inf, 1), (1e308, 1),
+                                           (math.inf, 2), (-math.inf, 2)])
+    def test_bad_row_in_the_mean_third_warns_nothing(self, bad, rows):
         # with rounds, the mapped mean third turns inf * 0 into a NaN row
-        # (and 1e308 into inf); univariate_mean maps both to fixed buckets
+        # (and 1e308 into inf); univariate_mean maps both to fixed buckets.
+        # Two adjacent same-sign infinities make a NaN covariance pair, inf - inf
         x = sample_gaussian(GaussianParams(np.zeros(4), np.diag(np.geomspace(1.0, 1e4, 4))),
                             60_000, NoiseSource(18))
-        x[50_000] = bad
+        x[50_000:50_000 + rows] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mean_est, _ = learn_gaussian(x, 1.0, 0.1, 0.05, 10.0, 1e4, NoiseSource(19))

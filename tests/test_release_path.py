@@ -142,8 +142,7 @@ class TestCovarianceThroughPairs:
         firsts = []
         for rows in (x, y):
             released.clear()
-            with np.errstate(invalid="ignore"):   # pme maps an inf entry to NaN
-                mean.learn_gaussian(rows, 1.0, 0.1, 0.05, 5.0, kappa, NoiseSource.zero())
+            mean.learn_gaussian(rows, 1.0, 0.1, 0.05, 5.0, kappa, NoiseSource.zero())
             # at kappa 100 the one release; at 1e4 pgce's 7 rounds and final
             # estimate, then pme's 7 rounds.  Only the first is compared, as
             # later ones read the maps the earlier ones chose
