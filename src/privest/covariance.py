@@ -293,18 +293,22 @@ def _frame(x) -> _Frame:
     return _Frame(x)
 
 
+def _clamped_moment(frame: _Frame, kappa: float, beta: float) -> tuple:
+    """(moment, kept, B^2, l2 sensitivity 2 B^2 / n) at B^2 = clamp_threshold_sq:
+    replacing a row drops at most one kept x x^T / n and adds one, each of norm <= B^2 / n."""
+    b_sq = clamp_threshold_sq(kappa, frame.shape[1], frame.shape[0], beta)
+    return (*frame.moment(b_sq), b_sq, 2.0 * b_sq / frame.shape[0])
+
+
 def _noised_moment(x, rho: float, beta: float, kappa: float, noise: NoiseSource,
                    diagnostics: Optional[dict]) -> np.ndarray:
     """naive_pce before its PSD projection."""
     frame = _frame(x)
     _validate_common(rho, beta, kappa)
-    n, d = frame.shape
-    b_sq = clamp_threshold_sq(kappa, d, n, beta)
-    cov, kept = frame.moment(b_sq)
-    delta_f = 2.0 * b_sq / n
+    cov, kept, b_sq, delta_f = _clamped_moment(frame, kappa, beta)
     noisy = gaussian_mechanism_symmetric(cov, delta_f, rho, noise)
     if diagnostics is not None:
-        diagnostics.update(kept=kept, dropped=n - kept, clamp_threshold_sq=b_sq,
+        diagnostics.update(kept=kept, dropped=frame.shape[0] - kept, clamp_threshold_sq=b_sq,
                            noise_sigma=gaussian_sigma(delta_f, rho))
     return noisy
 
@@ -314,7 +318,7 @@ def naive_pce(x, rho: float, beta: float, kappa: float,
     """Clamp, average, noise, project: the basic private covariance estimator.
 
     Dropping rows over the clamp threshold bounds the Frobenius sensitivity
-    of the average by 2*B^2/n, which calibrates the symmetric Gaussian noise.
+    of the average (``_clamped_moment``), which calibrates the symmetric Gaussian noise.
     The PSD projection can only improve the estimate.  ``x`` is samples (an
     array or a ``_Pairs``) or a ``_Frame`` of them, read at this clamp if this
     is the first moment asked of it.

@@ -23,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .covariance import (CovEstimate, Preconditioner, RoundRecord,
-                         clamp_threshold_sq, _frame, _split_from_noisy_cov, pgce)
+from .covariance import (CovEstimate, Preconditioner, RoundRecord, _clamped_moment,
+                         _frame, _split_from_noisy_cov, pgce)
 from .errors import EstimationFailedError, InvalidParameterError
 from .histogram import argmax_bucket, stable_histogram_approx_dp
 from .noise import NoiseSource
@@ -110,7 +110,7 @@ def weak_ppc_no_bound(x, rho: float, beta: float,
     or None if the sweep exhausts.  ``x`` is an array of samples or a ``_Frame``.
     """
     frame = _frame(x)
-    n, d = frame.shape
+    d = frame.shape[1]
     if not rho > 0:
         raise InvalidParameterError(f"rho must be > 0, got {rho}")
     if not (0 < beta < 1):
@@ -126,9 +126,8 @@ def weak_ppc_no_bound(x, rho: float, beta: float,
     beta_step = beta / steps
     kappa = b
     while kappa > a / 2.0:
-        b_sq = clamp_threshold_sq(kappa, d, n, beta_step)
-        cov, _ = frame.moment(b_sq)
-        z = cov + sample_gue(d, gaussian_sigma(2.0 * b_sq / n, rho_step), noise)
+        cov, _, _, delta_f = _clamped_moment(frame, kappa, beta_step)
+        z = cov + sample_gue(d, gaussian_sigma(delta_f, rho_step), noise)
         v = _split_from_noisy_cov(z, kappa)
         if v.shape[1] > 0:
             return v, kappa / d ** 2

@@ -87,6 +87,8 @@ class ExperimentConfig:
         unknown = set(raw) - allowed
         if unknown:
             raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
+        if "task" not in raw:
+            raise InvalidParameterError(f"no task given; expected one of {TASKS}")
         return cls(**raw)
 
     def trial_seeds(self) -> list[int]:
@@ -184,10 +186,11 @@ def _attack_mechanism(cfg: ExperimentConfig, mech_src: NoiseSource):
     if name == "true-mean":
         return lambda x: np.zeros(x.shape[1])
     if name == "ppde":
-        rho = cfg.rho if cfg.rho is not None else 1.0
+        if cfg.rho is None:
+            raise InvalidParameterError("the ppde mechanism is rho-zCDP; pass --rho")
 
         def mech(x):  # rows are +-1, so x > 0 are ppde's 0/1 bits
-            model = product.ppde(x > 0, rho, cfg.alpha, cfg.beta, mech_src,
+            model = product.ppde(x > 0, cfg.rho, cfg.alpha, cfg.beta, mech_src,
                                  m=cfg.m)
             return 2.0 * model.p - 1.0
 

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .covariance import CovEstimate, _Pairs, ppc, pgce
+from .covariance import TARGET_KAPPA, CovEstimate, _Pairs, ppc, pgce
 from .errors import InvalidParameterError
 from .histogram import argmax_bucket, histogram_zcdp
 from .noise import NoiseSource
@@ -174,10 +174,10 @@ def pme(x: np.ndarray, rho: float, alpha: float, beta: float, R: float,
 
     The first two thirds of the rows form mean-free difference pairs
     (X_{2i} - X_{2i-1})/sqrt(2), never built whole, that drive the covariance
-    preconditioner (budget rho); the last third is transformed by A and handed
-    to the coordinate-wise estimator at condition bound 1000 (budget rho), and
-    the estimate is mapped back through A's exact inverse.  With no
-    preconditioning rounds A = I, the rows pass as they are, no pair is read.
+    preconditioner (budget rho); the last third, mapped by A, goes to the
+    coordinate-wise estimator at condition bound TARGET_KAPPA and mean bound
+    TARGET_KAPPA * R (budget rho), and back through A's exact inverse.  With
+    no preconditioning rounds A = I, the rows pass as they are, no pair is read.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -189,7 +189,7 @@ def pme(x: np.ndarray, rho: float, alpha: float, beta: float, R: float,
     pre = ppc(_Pairs(x[:2 * n]), rho, beta, kappa, noise)
     with np.errstate(over="ignore", invalid="ignore"):   # univariate_mean buckets NaN, inf
         y = x[2 * n:3 * n] @ pre.A.T if pre.round_log else x[2 * n:3 * n]
-    inner = naive_pme(y, rho, alpha, beta, 1000.0 * R, 1000.0, noise)
+    inner = naive_pme(y, rho, alpha, beta, TARGET_KAPPA * R, TARGET_KAPPA, noise)
     diagnostics = {"preconditioner_rounds": pre.round_log,
                    "ignored_rows": total - 3 * n,
                    **inner.diagnostics}

@@ -97,9 +97,10 @@ def required_block_size(d: int, rho: float, alpha: float, beta: float,
     """Worst-case per-block row count from the analysis constants.
 
     Far more conservative than what moderate dimensions need in practice;
-    pass ``m`` to ppde explicitly for desk-scale runs.
+    pass ``m`` to ppde explicitly for desk-scale runs.  The privacy term's
+    logarithm is floored at 0, so it vanishes once alpha*beta*sqrt(2 rho) >= d.
     """
-    c = 128.0 * math.log(d / (alpha * beta * math.sqrt(2.0 * rho))) ** 1.25
+    c = 128.0 * max(0.0, math.log(d / (alpha * beta * math.sqrt(2.0 * rho)))) ** 1.25
     c_prime = 128.0 * math.log(d * rounds / beta) ** 3
     return math.ceil(c_prime * d / alpha ** 2
                      + c * d / (alpha * math.sqrt(2.0 * rho)))

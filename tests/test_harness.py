@@ -323,6 +323,28 @@ class TestCli:
             assert rc == 2
             assert err.startswith("error:") and "Traceback" not in err
 
+    def test_sweep_without_task_is_exit_2(self, tmp_path, capsys):
+        rc = cli_main(["sweep", "--rho", "1", "--d", "4", "--sweep-n", "100", "200",
+                       "--seed", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "product" in err and "Traceback" not in err
+        # a task in --config still counts
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"task": "product", "m": 400}))
+        rc = cli_main(["sweep", "--config", str(cfg_path), "--rho", "1", "--d", "4",
+                       "--sweep-n", "1000", "2000", "--seed", "1"])
+        assert rc == 0
+
+    def test_ppde_attack_without_rho_is_exit_2(self, capsys):
+        # ppde is rho-zCDP: no rho is chosen for it from (eps, delta)
+        rc = cli_main(["attack", "--mechanism", "ppde", "--eps", "1", "--delta", "1e-6",
+                       "--n", "400", "--d", "16", "--m", "100", "--attack-trials", "5",
+                       "--seed", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "--rho" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("argv", [
         ["estimate-cov", "--rho", "1", "--n", "2000", "--d", "0", "--kappa", "1e4"],
         ["estimate-cov-unbounded", "--eps", "1", "--delta", "1e-6", "--n", "2000",

@@ -236,6 +236,27 @@ class TestRounds:
         # the analysis constant is astronomically larger than desk scale
         assert required_block_size(12, 1.0, 0.15, 0.05, 3) > 1_000_000
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    @pytest.mark.parametrize("rho", [0.01, 1.0, 8.0, 100.0])
+    def test_required_block_size_is_a_positive_int(self, d, rho):
+        # where alpha*beta*sqrt(2 rho) > d the privacy term's log is negative,
+        # and a negative number to the power 1.25 is complex
+        for alpha in (0.1, 0.5, 0.9):
+            for beta in (0.1, 0.5, 0.9):
+                m = required_block_size(d, rho, alpha, beta, num_rounds(d))
+                assert isinstance(m, int) and m >= 1
+
+    def test_ppde_default_block_size_where_privacy_term_vanishes(self):
+        # d = 1, alpha*beta*sqrt(2 rho) = 1.2 (privest learn-product --d 1 --rho 8
+        # --alpha 0.5 --beta 0.6): only the sampling term is left
+        m = required_block_size(1, 8.0, 0.5, 0.6, num_rounds(1))
+        assert m == math.ceil(128.0 * math.log(1 / 0.6) ** 3 / 0.5 ** 2)
+        x = sample_product(ProductModel(p=[0.3]), 1000, NoiseSource(1))
+        diag = {}
+        est = ppde(x, 8.0, 0.5, 0.6, NoiseSource(2), diagnostics=diag)
+        assert diag["rounds"][0].rows == (0, m)
+        assert 0.0 <= est.p[0] <= 1.0
+
 
 class TestPpde:
     def test_threshold_logic_small(self):

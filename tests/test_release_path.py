@@ -4,6 +4,7 @@ it declares there when one row of the data is replaced."""
 
 import ast
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ import pytest
 from privest import (covariance, covariance_unbounded, harness, histogram,
                      mean, product)
 from privest.noise import NoiseSource
-from privest.privacy import (gaussian_mechanism_symmetric,
-                             gaussian_mechanism_vector)
+from privest.privacy import (gaussian_mechanism_symmetric, gaussian_mechanism_vector,
+                             gaussian_sigma, sample_gue)
 from privest.product import ProductModel, sample_product
 
 
@@ -154,6 +155,58 @@ class TestCovarianceThroughPairs:
         beta = 0.0125 if kappa <= 1000 else 0.0125 / 7
         assert bound == bound_y == 2.0 * covariance.clamp_threshold_sq(
             kappa, self.D, n_pairs, beta) / n_pairs
+        assert np.isfinite(my).all()
+        assert np.linalg.norm(mx - my) <= bound * (1 + 1e-12)
+
+
+class TestConditionFreeSweep:
+    """Each attempt of ``weak_ppc_no_bound`` releases the clamped moment at
+    its kappa through ``sample_gue``, with the sigma of the sensitivity
+    2 b^2 / n it declares; replacing one row moves that moment by at most it."""
+
+    N, D = 20_000, 4
+    RHO, BETA = 0.5, 0.05
+    # floor above 40 d^3 = 2560 and ceiling 4x the top eigenvalue, 1e4: the
+    # sweep runs ~70 attempts before kappa/2 reaches it
+    INTERVAL = (3000.0, 4e4)
+
+    def sweep(self, monkeypatch, rows):
+        """Every attempt's (kappa, moment, sensitivity, sigma)."""
+        moments, sigmas = [], []
+
+        def moment_spy(frame, kappa, beta):
+            got = covariance._clamped_moment(frame, kappa, beta)
+            moments.append((kappa, beta, got[0].copy(), got[3]))
+            return got
+
+        def gue_spy(d, sigma, noise):
+            sigmas.append(sigma)
+            return sample_gue(d, sigma, noise)
+
+        monkeypatch.setattr(covariance_unbounded, "_clamped_moment", moment_spy)
+        monkeypatch.setattr(covariance_unbounded, "sample_gue", gue_spy)
+        out = covariance_unbounded.weak_ppc_no_bound(
+            rows, self.RHO, self.BETA, self.INTERVAL, NoiseSource.zero())
+        assert out is not None and len(moments) == len(sigmas) > 1
+        return [(*m, s) for m, s in zip(moments, sigmas)]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, 1e150, "duplicate"])
+    def test_one_row_replaced(self, monkeypatch, value):
+        x = NoiseSource(34).gaussian(1.0, size=(self.N, self.D)) * np.sqrt(
+            [1.0, 50.0, 1e3, 1e4])
+        y = replaced(x, 9, x[10] if value == "duplicate" else value)
+        a, b = self.INTERVAL
+        steps = math.ceil(math.log(2.0 * b / a) / math.log(1.0 / covariance_unbounded.SWEEP_SHRINK))
+        firsts = []
+        for rows in (x, y):
+            attempts = self.sweep(monkeypatch, rows)
+            for kappa, beta, _, delta_f, sigma in attempts:
+                assert beta == self.BETA / steps
+                assert delta_f == 2.0 * covariance.clamp_threshold_sq(
+                    kappa, self.D, self.N, beta) / self.N
+                assert sigma == gaussian_sigma(delta_f, self.RHO / steps)
+            firsts.append(attempts[0])
+        (_, _, mx, bound, _), (_, _, my, _, _) = firsts
         assert np.isfinite(my).all()
         assert np.linalg.norm(mx - my) <= bound * (1 + 1e-12)
 
