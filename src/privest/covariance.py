@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyInputError, InvalidParameterError
+from .errors import EmptyInputError, InvalidParameterError, check, check_samples
 from .linalg import project_psd, psd_factor, sym_eigh, sym_eigvals
 from .noise import NoiseSource
 from .privacy import PrivacyBudget, gaussian_mechanism_symmetric, gaussian_sigma
@@ -79,16 +79,6 @@ def clamp_threshold_sq(kappa: float, d: int, n: int, beta: float) -> float:
     """B^2 = kappa * d * (1 + 3*ln(2n/beta)); samples with larger squared norm
     are dropped before averaging."""
     return kappa * d * (1.0 + 3.0 * math.log(2.0 * n / beta))
-
-
-def _validate_common(rho: float, beta: float, kappa: float):
-    """Check the parameters."""
-    if not rho > 0:
-        raise InvalidParameterError(f"rho must be > 0, got {rho}")
-    if not (0 < beta < 1):
-        raise InvalidParameterError(f"beta must be in (0,1), got {beta}")
-    if not kappa >= 1:
-        raise InvalidParameterError(f"kappa must be >= 1, got {kappa}")
 
 
 def clamped_covariance(x: np.ndarray, b_sq: float) -> tuple[np.ndarray, int]:
@@ -282,12 +272,10 @@ def _sq_under(rows, t: np.ndarray, out=None, idx=None) -> np.ndarray:
 
 def _frame(x) -> _Frame:
     """``x`` itself when it is a frame; otherwise a frame, not yet read, over
-    the samples ``x``: a non-empty 2-d array or a ``_Pairs``."""
+    the samples ``x``: a 2-d array or a ``_Pairs`` with at least one row and column."""
     if isinstance(x, _Frame):
         return x
-    x = x if isinstance(x, _Pairs) else np.asarray(x, dtype=float)
-    if len(x.shape) != 2:
-        raise InvalidParameterError(f"samples must be 2-d, got shape {x.shape}")
+    x = check_samples(x if isinstance(x, _Pairs) else np.asarray(x, dtype=float))
     if x.shape[0] == 0:
         raise EmptyInputError("no samples")
     return _Frame(x)
@@ -304,7 +292,7 @@ def _noised_moment(x, rho: float, beta: float, kappa: float, noise: NoiseSource,
                    diagnostics: Optional[dict]) -> np.ndarray:
     """naive_pce before its PSD projection."""
     frame = _frame(x)
-    _validate_common(rho, beta, kappa)
+    check(rho=rho, beta=beta, kappa=kappa)
     cov, kept, b_sq, delta_f = _clamped_moment(frame, kappa, beta)
     noisy = gaussian_mechanism_symmetric(cov, delta_f, rho, noise)
     if diagnostics is not None:
@@ -340,8 +328,7 @@ def weak_ppc(x, rho: float, beta: float, kappa: float, K: float,
     (V, A), A = I when V is empty.  ``x`` is samples or a ``_Frame``."""
     if not kappa > 1:
         raise InvalidParameterError(f"kappa must be > 1, got {kappa}")
-    if not K >= 1:
-        raise InvalidParameterError(f"K must be >= 1, got {K}")
+    check(K=K)
     v = _split_from_noisy_cov(naive_pce(x, rho, beta, kappa, noise), kappa)
     a = np.eye(len(v)) + (1.0 / math.sqrt(K) - 1.0) * (v @ v.T)
     return v, (a + a.T) / 2.0
@@ -359,7 +346,7 @@ def ppc(x, rho: float, beta: float, kappa: float,
     sample is read, so a ``_Pairs`` computes no pair, and no budget is spent.
     """
     frame = _frame(x)
-    _validate_common(rho, beta, kappa)
+    check(rho=rho, beta=beta, kappa=kappa)
     t_rounds = 0 if kappa <= TARGET_KAPPA else math.ceil(
         math.log(kappa / TARGET_KAPPA) / math.log(1.0 / ROUND_SHRINK))
     log: list[RoundRecord] = []
@@ -388,7 +375,7 @@ def pgce(x, rho: float, beta: float, kappa: float,
     diag(sqrt(max(lambda, 0))), so it is PSD by construction.
     """
     frame = _frame(x)
-    _validate_common(rho, beta, kappa)
+    check(rho=rho, beta=beta, kappa=kappa)
     kappa_eff = min(kappa, TARGET_KAPPA)
     pre = ppc(frame, rho / 2.0, beta / 2.0, kappa, noise)
     diag: dict = {}

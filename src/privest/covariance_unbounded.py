@@ -25,7 +25,7 @@ import numpy as np
 
 from .covariance import (CovEstimate, Preconditioner, RoundRecord, _clamped_moment,
                          _frame, _split_from_noisy_cov, pgce)
-from .errors import EstimationFailedError, InvalidParameterError
+from .errors import EstimationFailedError, InvalidParameterError, check
 from .histogram import argmax_bucket, stable_histogram_approx_dp
 from .noise import NoiseSource
 from .privacy import (PrivacyBudget, compose_approx_dp, gaussian_sigma,
@@ -111,10 +111,7 @@ def weak_ppc_no_bound(x, rho: float, beta: float,
     """
     frame = _frame(x)
     d = frame.shape[1]
-    if not rho > 0:
-        raise InvalidParameterError(f"rho must be > 0, got {rho}")
-    if not (0 < beta < 1):
-        raise InvalidParameterError(f"beta must be in (0,1), got {beta}")
+    check(rho=rho, beta=beta)
     a, b = interval
     if not a > FLOOR_COEFF * d ** 3:
         raise InvalidParameterError(
@@ -146,12 +143,7 @@ def ppc_range(x, eps: float, delta: float, beta: float,
     returned A = 2 * (product of round factors).  ``x`` is an array of
     samples or a ``_Frame``, onto which the factors are pushed.
     """
-    if not eps > 0:
-        raise InvalidParameterError(f"eps must be > 0, got {eps}")
-    if not (0 < delta < 1):
-        raise InvalidParameterError(f"delta must be in (0,1), got {delta}")
-    if not (0 < beta < 1):
-        raise InvalidParameterError(f"beta must be in (0,1), got {beta}")
+    check(eps=eps, delta=delta, beta=beta)
     frame = _frame(x)
     d = frame.shape[1]
     eps_r = eps / math.sqrt(d * math.log(1.0 / delta))

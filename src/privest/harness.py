@@ -20,7 +20,7 @@ import numpy as np
 
 from . import covariance, covariance_unbounded, mean, metrics, product
 from .attacks import run_tracing_attack
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check
 from .histogram import histogram_zcdp
 from .linalg import GaussianParams, sample_gaussian
 from .noise import NoiseSource, _mix64
@@ -80,6 +80,8 @@ class ExperimentConfig:
             raise InvalidParameterError("set either rho or (eps, delta), not both")
         if not has_rho and not (self.eps is not None and self.delta is not None):
             raise InvalidParameterError("set rho or both of eps and delta")
+        budget = {"rho": self.rho} if has_rho else {"eps": self.eps, "delta": self.delta}
+        check(**budget, alpha=self.alpha, beta=self.beta, kappa=self.kappa, R=self.R)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -132,7 +134,7 @@ def _truth_gaussian(cfg: ExperimentConfig, data_src: NoiseSource) -> GaussianPar
     if cfg.task in ("gaussian-mean", "gaussian-full") and cfg.R > 0:
         raw = data_src.uniform(-1.0, 1.0, size=cfg.d)
         mu = raw * cfg.R / max(1.0, math.sqrt(cfg.d) * 2.0)
-    return GaussianParams(mean=mu, cov=np.diag(spec), R=cfg.R, kappa=cfg.kappa)
+    return GaussianParams(mean=mu, cov=np.diag(spec))
 
 
 def _truth_product(cfg: ExperimentConfig) -> np.ndarray:

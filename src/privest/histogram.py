@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError, check
 from .noise import NoiseSource
 from .privacy import gaussian_mechanism_vector
 
@@ -67,13 +67,10 @@ def stable_histogram_approx_dp(data: ArrayLike, eps: float, delta: float,
         raise InvalidParameterError("empty data")
     if not np.issubdtype(data.dtype, np.integer):
         raise InvalidInputError(f"bucket keys must be integers, got {data.dtype}")
-    if not eps > 0:
-        raise InvalidParameterError(f"eps must be > 0, got {eps}")
-    if not (0 < delta < 1.0 / n):
+    check(eps=eps, delta=delta, beta=beta)
+    if not delta < 1.0 / n:
         raise InvalidParameterError(
             f"delta must be in (0, 1/n) = (0, {1.0 / n}), got {delta}")
-    if not (0 < beta < 1):
-        raise InvalidParameterError(f"beta must be in (0,1), got {beta}")
 
     scale = 2.0 / (eps * n)
     threshold = 2.0 * math.log(2.0 * n / (delta * beta)) / (eps * n)
@@ -100,10 +97,7 @@ def histogram_zcdp(data: ArrayLike, lo: int, hi: int, rho: float,
     n = len(data)
     if n == 0:
         raise InvalidParameterError("empty data")
-    if not rho > 0:
-        raise InvalidParameterError(f"rho must be > 0, got {rho}")
-    if not (0 < beta < 1):
-        raise InvalidParameterError(f"beta must be in (0,1), got {beta}")
+    check(rho=rho, beta=beta)
     if not np.issubdtype(data.dtype, np.integer) or data.ndim > 2:
         raise InvalidInputError(f"keys must be 1-d or 2-d integers, got {data.dtype}")
     size = hi - lo

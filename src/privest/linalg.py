@@ -7,7 +7,6 @@ Dense storage only; target scale is d up to a few hundred.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -51,15 +50,10 @@ def sym_eigvals(m: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GaussianParams:
-    """A Gaussian model (mean, cov) with optional range bounds.
-
-    R bounds the mean norm (||mu||_2 <= R); kappa asserts I <= cov <= kappa*I.
-    """
+    """A Gaussian model: its mean and its PSD covariance."""
 
     mean: np.ndarray
     cov: np.ndarray
-    R: Optional[float] = None
-    kappa: Optional[float] = None
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float).ravel()
@@ -70,10 +64,6 @@ class GaussianParams:
         scale = max(float(evals[-1]), 0.0)
         if evals[0] < -1e-9 * max(scale, 1.0):
             raise InvalidInputError("cov is not PSD")
-        if self.R is not None and self.R < 0:
-            raise InvalidInputError("R must be >= 0")
-        if self.kappa is not None and self.kappa < 1:
-            raise InvalidInputError("kappa must be >= 1")
 
     @property
     def dim(self) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .covariance import TARGET_KAPPA, CovEstimate, _Pairs, ppc, pgce
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, check, check_samples
 from .histogram import argmax_bucket, histogram_zcdp
 from .noise import NoiseSource
 from .privacy import PrivacyBudget, gaussian_mechanism_vector
@@ -60,8 +60,7 @@ def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
     n = x.shape[0]
     if n < 4:
         raise InvalidParameterError(f"need at least 4 samples, got {n}")
-    if not (rho > 0 and 0 < beta < 1 and R >= 0 and kappa >= 1):
-        raise InvalidParameterError("bad (rho, beta, R, kappa)")
+    check(rho=rho, beta=beta, R=R, kappa=kappa)
     half = n // 2
     hist_block = x[:half]
     cdf_block = x[half:]
@@ -138,6 +137,17 @@ def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
                         diagnostics=diagnostics)
 
 
+def _samples(x, min_rows: int, **params) -> np.ndarray:
+    """``x`` as float samples, once ``params`` pass the gate and ``x`` has at
+    least ``min_rows`` rows: univariate_mean's 4 per column for naive_pme, 12
+    for pme and learn_gaussian, so that pme's mean third holds 4."""
+    x = check_samples(np.asarray(x, dtype=float))
+    check(**params)
+    if x.shape[0] < min_rows:
+        raise InvalidParameterError(f"need at least {min_rows} rows, got {x.shape[0]}")
+    return x
+
+
 def naive_pme(x: np.ndarray, rho: float, alpha: float, beta: float, R: float,
               kappa: float, noise: NoiseSource) -> MeanEstimate:
     """Coordinate-wise mean estimation for I <= Sigma <= kappa*I.
@@ -147,9 +157,7 @@ def naive_pme(x: np.ndarray, rho: float, alpha: float, beta: float, R: float,
     coordinate error target is alpha/sqrt(d).  Any coordinate abort aborts
     the whole estimate (coordinate recorded).
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise InvalidParameterError(f"samples must be 2-d, got shape {x.shape}")
+    x = _samples(x, 4, rho=rho, alpha=alpha, beta=beta, R=R, kappa=kappa)
     d = x.shape[1]
     mu = np.empty(d)
     weak = np.empty(d)
@@ -179,13 +187,9 @@ def pme(x: np.ndarray, rho: float, alpha: float, beta: float, R: float,
     TARGET_KAPPA * R (budget rho), and back through A's exact inverse.  With
     no preconditioning rounds A = I, the rows pass as they are, no pair is read.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise InvalidParameterError(f"samples must be 2-d, got shape {x.shape}")
+    x = _samples(x, 12, rho=rho, alpha=alpha, beta=beta, R=R, kappa=kappa)
     total = x.shape[0]
     n = total // 3
-    if n < 2:
-        raise InvalidParameterError(f"need at least 6 rows, got {total}")
     pre = ppc(_Pairs(x[:2 * n]), rho, beta, kappa, noise)
     with np.errstate(over="ignore", invalid="ignore"):   # univariate_mean buckets NaN, inf
         y = x[2 * n:3 * n] @ pre.A.T if pre.round_log else x[2 * n:3 * n]
@@ -211,9 +215,7 @@ def learn_gaussian(x: np.ndarray, rho: float, alpha: float, beta: float,
     ``pgce`` reads a block at a time, never built whole; rho/2 goes to the
     preconditioned mean estimator (as 2 * rho/4).
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise InvalidParameterError(f"samples must be 2-d, got shape {x.shape}")
+    x = _samples(x, 12, rho=rho, alpha=alpha, beta=beta, R=R, kappa=kappa)
     cov_est = pgce(_Pairs(x), rho / 2.0, beta / 2.0, kappa, noise)
     mean_est = pme(x, rho / 4.0, alpha, beta / 2.0, R, kappa, noise)
     return mean_est, cov_est

@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidParameterError
+from .errors import InvalidInputError, InvalidParameterError, check
 from .noise import NoiseSource
 
 
@@ -64,10 +64,9 @@ class PrivacyBudget:
 
 def zcdp_to_approx_dp(rho: float, delta: float) -> tuple[float, float]:
     """Convert rho-zCDP to (eps, delta)-DP: eps = rho + 2*sqrt(rho*ln(1/delta))."""
-    if rho < 0:
-        raise InvalidParameterError(f"rho must be >= 0, got {rho}")
-    if not (0 < delta < 1):
-        raise InvalidParameterError(f"delta must be in (0,1), got {delta}")
+    if not 0 <= rho < math.inf:
+        raise InvalidParameterError(f"rho must be in [0, inf), got {rho}")
+    check(delta=delta)
     eps = rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
     return eps, delta
 
@@ -84,8 +83,7 @@ def compose_approx_dp(budgets: Iterable[tuple[float, float]]) -> tuple[float, fl
 def gaussian_sigma(sensitivity: float, rho: float) -> float:
     """Noise std sensitivity / sqrt(2*rho) of the rho-zCDP Gaussian mechanism
     for a statistic of l2-sensitivity ``sensitivity``."""
-    if not rho > 0:
-        raise InvalidParameterError(f"rho must be > 0, got {rho}")
+    check(rho=rho)
     if not sensitivity >= 0:
         raise InvalidParameterError(f"sensitivity must be >= 0, got {sensitivity}")
     return sensitivity / math.sqrt(2.0 * rho)

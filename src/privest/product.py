@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyInputError, InsufficientSamplesError, InvalidParameterError
+from .errors import (EmptyInputError, InsufficientSamplesError, InvalidParameterError,
+                     check, check_samples)
 from .noise import NoiseSource
 from .privacy import PrivacyBudget, gaussian_mechanism_vector
 
@@ -73,9 +74,7 @@ def tmean(x: np.ndarray, B: float) -> np.ndarray:
     """
     if not B >= 0:
         raise InvalidParameterError(f"B must be >= 0, got {B}")
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise InvalidParameterError(f"expected 2-d data, got shape {x.shape}")
+    x = check_samples(np.asarray(x))
     m, d = x.shape
     if m == 0:
         raise EmptyInputError("tmean of zero rows")
@@ -118,10 +117,11 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
 
     Rows must be 0/1 in any dtype; integers are checked in their own dtype.
     The data splits into R+1 disjoint blocks of m rows (an explicit m must
-    be >= 1).  Each round reads one block: it takes a truncated mean of the
-    active coordinates (truncation radius B_r set by the current bias bound
-    u_r), adds Gaussian noise, freezes coordinates whose noisy mean clears
-    tau_r, and halves u and tau for the rest.  The final round reads one
+    be an integer >= 1, numpy integers included).  Each round reads one
+    block: it takes a truncated mean of the active coordinates (truncation
+    radius B_r set by the current bias bound u_r), adds Gaussian noise,
+    freezes coordinates whose noisy mean clears tau_r, and halves u and tau
+    for the rest.  The final round reads one
     more block for whatever remains.  The output is clamped into [0,1]^d.
 
     Each round's truncated mean is released by the Gaussian mechanism at
@@ -133,13 +133,10 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
     Only a ``diagnostics`` dict gets the per-round ``RoundState`` records
     (under "rounds"); without one, none are built.
     """
-    if not (rho > 0 and 0 < alpha < 1 and 0 < beta < 1):
-        raise InvalidParameterError("bad (rho, alpha, beta)")
-    if m is not None and not m >= 1:
-        raise InvalidParameterError(f"m must be >= 1, got {m}")
-    x = np.asarray(x)
-    if x.ndim != 2:
-        raise InvalidParameterError(f"expected 2-d data, got shape {x.shape}")
+    check(rho=rho, alpha=alpha, beta=beta)
+    if m is not None and not (isinstance(m, (int, np.integer)) and m >= 1):
+        raise InvalidParameterError(f"m must be an integer >= 1, got {m!r}")
+    x = check_samples(np.asarray(x))
     if x.dtype.kind in "iu":  # integers are compared in their own dtype
         binary = x.min(initial=0) >= 0 and x.max(initial=0) <= 1
     else:  # bools need no check

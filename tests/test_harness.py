@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,14 @@ class TestExperimentConfig:
             ExperimentConfig(task="product", eps=1.0)  # delta missing
         ExperimentConfig(task="product", rho=1.0)
         ExperimentConfig(task="gaussian-cov-unbounded", eps=1.0, delta=1e-6)
+
+    @pytest.mark.parametrize("bad", [
+        dict(rho=math.inf), dict(eps=math.inf, delta=1e-6), dict(eps=1.0, delta=1.0),
+        dict(rho=1.0, kappa=math.inf), dict(rho=1.0, R=math.inf),
+        dict(rho=1.0, beta=1.5), dict(rho=1.0, alpha=math.nan)])
+    def test_parameters_outside_their_domain_rejected(self, bad):
+        with pytest.raises(InvalidParameterError):
+            ExperimentConfig(task="gaussian-full", **bad)
 
     def test_unknown_task_and_keys_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -311,6 +320,15 @@ class TestCli:
             err = capsys.readouterr().err
             assert rc == 2
             assert err.startswith("error:") and "Traceback" not in err
+
+    def test_non_integer_block_size_in_config_is_exit_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "m.json"
+        cfg_path.write_text(json.dumps({"m": 2.5}))
+        rc = cli_main(["learn-product", "--config", str(cfg_path), "--rho", "1",
+                       "--n", "4000", "--d", "4", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_attack_parameter_error_is_exit_2(self, capsys):
         # every trial would fail the same way; the attack used to count them

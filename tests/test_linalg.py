@@ -145,7 +145,7 @@ class TestInvSqrtPsd:
 
 class TestGaussianParams:
     def test_valid(self):
-        p = GaussianParams(np.zeros(2), np.eye(2), R=1.0, kappa=10.0)
+        p = GaussianParams(np.zeros(2), np.eye(2))
         assert p.dim == 2
 
     def test_rejects_non_psd(self):
@@ -155,12 +155,6 @@ class TestGaussianParams:
     def test_rejects_mismatch(self):
         with pytest.raises(InvalidInputError):
             GaussianParams(np.zeros(3), np.eye(2))
-
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(InvalidInputError):
-            GaussianParams(np.zeros(2), np.eye(2), R=-1.0)
-        with pytest.raises(InvalidInputError):
-            GaussianParams(np.zeros(2), np.eye(2), kappa=0.5)
 
 
 class TestSampleGaussian:

@@ -184,6 +184,18 @@ class TestPme:
                           NoiseSource.zero())
         assert np.allclose(est.mu_hat, inner.mu_hat, atol=1e-12)
 
+    @pytest.mark.parametrize("estimate", [pme, learn_gaussian])
+    def test_needs_twelve_rows_before_any_draw(self, estimate):
+        # pme's mean third must hold univariate_mean's 4 samples; at kappa 1e5
+        # pme's preconditioner, and learn_gaussian's pgce, would draw first
+        x = NoiseSource(3).gaussian(1.0, size=(12, 2))
+        for rows in range(6, 12):
+            noise = NoiseSource(0)
+            with pytest.raises(InvalidParameterError, match="at least 12 rows"):
+                estimate(x[:rows], 1.0, 0.1, 0.05, 5.0, 1e5, noise)
+            assert noise.uniform() == NoiseSource(0).uniform()
+        estimate(x, 1.0, 0.1, 0.05, 5.0, 1e5, NoiseSource(0))
+
     def test_budget_is_two_rho(self):
         x = NoiseSource(9).gaussian(1.0, size=(900, 2))
         est = pme(x, 0.4, 0.1, 0.05, 5.0, 10.0, NoiseSource(0))

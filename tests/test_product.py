@@ -346,6 +346,14 @@ class TestPpde:
             with pytest.raises(InvalidParameterError):
                 ppde(x, 1.0, 0.2, 0.05, NoDraws(0), m=m)
 
+    def test_block_size_must_be_an_integer(self):
+        x = np.zeros((400, 2), dtype=int)
+        for m in (2.5, 100.0):
+            with pytest.raises(InvalidParameterError, match="integer"):
+                ppde(x, 1.0, 0.2, 0.05, NoiseSource(0), m=m)
+        got = ppde(x, 1.0, 0.2, 0.05, NoiseSource(0), m=np.int64(100)).p
+        assert got.tolist() == ppde(x, 1.0, 0.2, 0.05, NoiseSource(0), m=100).p.tolist()
+
     def test_output_does_not_depend_on_diagnostics(self):
         x = bernoulli_rows([0.4, 0.3, 0.05, 0.01], 2, 50, 4)
         diag = {}
