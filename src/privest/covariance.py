@@ -146,17 +146,20 @@ class _Frame:
         self.reach, (n, d) = reach, self.shape
         step = n if isinstance(self.x, np.ndarray) else self.x.step
         sub = max(1, _BLOCK_MADDS // d ** 2)
-        norms, keep, gram = np.empty(n), np.empty(n, dtype=bool), None
+        # No n-byte mask of kept rows until a block has an out row (NaN is one).
+        norms, keep, gram = np.empty(n), np.ones(0, dtype=bool), None
         for lo in range(0, n, step):
             rows, at = self.x[lo:lo + step], slice(lo, lo + step)
             np.einsum("ij,ij->i", rows, rows, out=norms[at])
-            np.less_equal(norms[at], reach, out=keep[at])
+            if not norms[at].max() <= reach:
+                keep = keep if keep.size else np.ones(n, dtype=bool)
+                np.less_equal(norms[at], reach, out=keep[at])
             parts = [rows] if keep[at].all() else (
                 rows[s:s + sub][keep[lo + s:lo + s + sub]] for s in range(0, len(rows), sub))
             for part in parts:
                 gram = part.T @ part if gram is None else gram + part.T @ part
-        self.idx = None if keep.all() else np.flatnonzero(keep)
-        self.norms = norms if self.idx is None else norms[keep]
+        self.idx = np.flatnonzero(keep) if keep.size else None
+        self.norms = norms[keep] if keep.size else norms
         self.out = np.flatnonzero(np.logical_not(keep, out=keep))   # no n-byte copy
         self.out_norms = norms[self.out]
         gram /= n
@@ -228,8 +231,9 @@ class _Frame:
                 self.cover(b_sq)
         cov, kept = self.second, self.norms.shape[0]
         if not (self.stale and self._certified(b_sq)):
-            drop = self._exact_norms() > b_sq
-            if drop.any():
+            norms = self._exact_norms()
+            if not norms.max(initial=-math.inf) <= b_sq:   # no n-byte mask while all are in
+                drop = norms > b_sq
                 xd = self.x[np.flatnonzero(drop) if self.idx is None else self.idx[drop]]
                 cov = cov - (xd.T @ xd) / self.shape[0]
                 kept -= xd.shape[0]

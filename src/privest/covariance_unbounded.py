@@ -119,8 +119,7 @@ def weak_ppc_no_bound(x, rho: float, beta: float,
     if not b >= a:
         raise InvalidParameterError(f"empty interval [{a}, {b}]")
     steps = math.ceil(math.log(2.0 * b / a) / math.log(1.0 / SWEEP_SHRINK))
-    rho_step = rho / steps
-    beta_step = beta / steps
+    rho_step, beta_step = rho / steps, beta / steps
     kappa = b
     while kappa > a / 2.0:
         cov, _, _, delta_f = _clamped_moment(frame, kappa, beta_step)
@@ -204,9 +203,7 @@ def pgce_no_bound(x, eps: float, delta: float, beta: float,
     eps_spent, delta_spent = compose_approx_dp(
         [(pre.budget_spent.eps, pre.budget_spent.delta),
          zcdp_to_approx_dp(rho, delta)])
-    diag = dict(inner.diagnostics)
-    diag["preconditioner_rounds"] = pre.round_log
-    diag["kappa_star"] = pre.kappa_star
     return CovEstimate(sigma_hat=inner.sigma_hat,
                        budget_spent=PrivacyBudget.approx(eps_spent, delta_spent),
-                       diagnostics=diag)
+                       diagnostics={**inner.diagnostics, "preconditioner_rounds": pre.round_log,
+                                    "kappa_star": pre.kappa_star})

@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Optional
 
@@ -31,6 +32,9 @@ TASKS = ("gaussian-cov", "gaussian-cov-unbounded", "gaussian-mean",
 
 CSV_COLUMNS = ("task", "seed", "trial", "n", "d", "param-json",
                "metric-name", "metric-value")
+
+# The JSON values a config field admits, by its annotation (a bool is no number).
+_JSON_TYPES = {"int": Integral, "float": Real, "list": list, "bool": bool, "str": str}
 
 
 @dataclass
@@ -65,12 +69,9 @@ class ExperimentConfig:
         if self.task not in TASKS:
             raise InvalidParameterError(
                 f"unknown task {self.task!r}; expected one of {TASKS}")
-        if self.trials < 1:
-            raise InvalidParameterError("trials must be >= 1")
-        if not self.n >= 1:
-            raise InvalidParameterError(f"n must be >= 1, got {self.n}")
-        if not self.d >= 1:
-            raise InvalidParameterError(f"d must be >= 1, got {self.d}")
+        for k in ("trials", "n", "d"):
+            if not getattr(self, k) >= 1:
+                raise InvalidParameterError(f"{k} must be >= 1, got {getattr(self, k)}")
         if self.sweep_n and not all(k >= 1 for k in self.sweep_n):
             raise InvalidParameterError(
                 f"sweep_n entries must be >= 1, got {self.sweep_n}")
@@ -85,12 +86,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        allowed = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(raw) - allowed
+        """A config from JSON, each value's type checked before ``__post_init__`` compares it."""
+        fields = cls.__dataclass_fields__
+        unknown = set(raw) - set(fields)
         if unknown:
             raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
         if "task" not in raw:
             raise InvalidParameterError(f"no task given; expected one of {TASKS}")
+        for k, v in raw.items():
+            kind = fields[k].type.removeprefix("Optional[").removesuffix("]")
+            ok = isinstance(v, _JSON_TYPES[kind]) and isinstance(v, bool) == (kind == "bool")
+            if not (ok or v is None and fields[k].default is None):
+                raise InvalidParameterError(f"config {k} must be of type {kind}, got {v!r}")
         return cls(**raw)
 
     def trial_seeds(self) -> list[int]:
@@ -175,8 +182,7 @@ def learn_product_flip_heavy(x: np.ndarray, rho: float, alpha: float,
     if flipped:
         q[flipped] = 1.0 - q[flipped]
     if diagnostics is not None:
-        diagnostics["flipped"] = flipped
-        diagnostics["budget_spent"] = PrivacyBudget.zcdp(rho)
+        diagnostics.update(flipped=flipped, budget_spent=PrivacyBudget.zcdp(rho))
     return product.ProductModel(p=q)
 
 
@@ -284,9 +290,8 @@ def budget_ledger_check(report: TrialReport, tol: float = 1e-9) -> tuple[bool, l
         spent = row.get("budget")
         if expected is None or spent is None:
             continue
-        if spent.regime != expected.regime:
-            mismatches.append((row["seed"], spent, expected))
-        elif spent.regime == "zcdp" and abs(spent.rho - expected.rho) > tol:
+        if spent.regime != expected.regime or (
+                spent.regime == "zcdp" and abs(spent.rho - expected.rho) > tol):
             mismatches.append((row["seed"], spent, expected))
     return (len(mismatches) == 0, mismatches)
 
@@ -315,10 +320,7 @@ def run_experiment(cfg: ExperimentConfig) -> TrialReport:
 def _run_sweep(cfg: ExperimentConfig) -> TrialReport:
     combined = TrialReport(config=cfg)
     for n in cfg.sweep_n:
-        sub_raw = {**{k: getattr(cfg, k) for k in cfg.__dataclass_fields__},
-                   "n": int(n), "sweep_n": None, "out": None}
-        sub = ExperimentConfig.from_dict(sub_raw)
-        rep = run_experiment(sub)
+        rep = run_experiment(replace(cfg, n=int(n), sweep_n=None, out=None))
         combined.rows.extend(rep.rows)
         combined.per_trial.extend(rep.per_trial)
         for k, v in rep.aggregates.items():

@@ -50,20 +50,21 @@ class MeanEstimate:
 def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
                     kappa: float, noise: NoiseSource) -> MeanEstimate:
     """One-dimensional mean estimation for N(mu, sigma^2), |mu| <= R,
-    sigma^2 in [1, kappa].
+    sigma^2 in [1, kappa], from one column ``x``: a 1-d or (n, 1) array.
 
     Budget: the histogram stage(s) spend rho/2 total and the CDF stage
     spends rho/2.  Any empty vote aborts (the bottom outcome), which is
     privacy-preserving.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1 and x.shape[1:] != (1,):
+        raise InvalidParameterError(f"univariate_mean takes one column, got shape {x.shape}")
     n = x.shape[0]
     if n < 4:
         raise InvalidParameterError(f"need at least 4 samples, got {n}")
     check(rho=rho, beta=beta, R=R, kappa=kappa)
-    half = n // 2
-    hist_block = x[:half]
-    cdf_block = x[half:]
+    x = x.reshape(-1)   # read in place: a strided column stays a view
+    hist_block, cdf_block = x[:n // 2], x[n // 2:]
     m = cdf_block.shape[0]
     known_scale = kappa <= 1.0 + 1e-12
     diagnostics: dict = {}
@@ -73,15 +74,15 @@ def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
         rho_loc = rho / 2.0
     else:
         # Scale vote: |N(0, sigma^2)| differences, geometric base-2 buckets.
+        # One array holds each pair, then its magnitude, then its key: fmax
+        # lifts 0, NaN (inf - inf) and all below 2^k_lo into bucket k_lo.
         npairs = 2 * (hist_block.shape[0] // 2)
-        with np.errstate(invalid="ignore"):   # inf - inf: a NaN pair, bucket k_lo below
-            pairs = (hist_block[1:npairs:2] - hist_block[0:npairs:2]) / math.sqrt(2.0)
-        absd = np.abs(pairs)
-        k_lo = -8
-        k_hi = math.ceil(math.log2(math.sqrt(kappa))) + 8
-        with np.errstate(divide="ignore"):
-            raw = np.floor(np.log2(np.where(absd > 0, absd, 2.0 ** (k_lo - 1))))
-        keys = np.clip(raw, k_lo, k_hi).astype(int)
+        k_lo, k_hi = -8, math.ceil(math.log2(math.sqrt(kappa))) + 8
+        with np.errstate(invalid="ignore"):
+            keys = np.subtract(hist_block[1:npairs:2], hist_block[0:npairs:2])
+        keys = np.abs(np.divide(keys, math.sqrt(2.0), out=keys), out=keys)
+        keys = np.floor(np.log2(np.fmax(keys, 2.0 ** (k_lo - 1), out=keys), out=keys), out=keys)
+        keys = np.clip(keys, k_lo, k_hi, out=keys).astype(int)
         h = histogram_zcdp(keys, k_lo, k_hi + 1, rho / 4.0, beta / 2.0, noise)
         k_star = argmax_bucket(h, SCALE_VOTE)
         if k_star is None:
@@ -99,8 +100,8 @@ def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
     # vote's sensitivity is unchanged.
     width = sigma_hat if known_scale else 2.0 * sigma_hat
     g = math.ceil(R / width) + 1
-    keys = np.fmax(np.floor(hist_block / width), -g)  # fmax sends NaN to -g
-    keys = np.fmin(keys, g - 1, out=keys).astype(int)
+    keys = np.divide(hist_block, width)   # fmax below sends NaN to -g
+    keys = np.fmin(np.fmax(np.floor(keys, out=keys), -g, out=keys), g - 1, out=keys).astype(int)
     h = histogram_zcdp(keys, -g, g, rho_loc, beta / 2.0, noise)
     r_star = argmax_bucket(h, LOCATION_VOTE)
     if r_star is None:

@@ -173,14 +173,10 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
                 rows=((r - 1) * m, r * m)))
         if last:
             break
-        active = active[~freeze]
-        u /= 2.0
-        tau /= 2.0
+        active, u, tau = active[~freeze], u / 2.0, tau / 2.0
 
     if diagnostics is not None:
-        diagnostics["rounds"] = rounds
-        diagnostics["m"] = m
-        diagnostics["budget_spent"] = PrivacyBudget.zcdp(rho)
+        diagnostics.update(rounds=rounds, m=m, budget_spent=PrivacyBudget.zcdp(rho))
     return ProductModel(p=np.clip(q, 0.0, 1.0))
 
 

@@ -95,6 +95,39 @@ class TestUnivariateMean:
         with pytest.raises(InvalidParameterError):
             univariate_mean(x, 1.0, 0.05, 1.0, 0.5, NoiseSource(0))
 
+    @pytest.mark.parametrize("shape", [(2000, 3), (2000, 1, 1), (1, 2000), ()])
+    def test_takes_one_column_before_any_draw(self, shape):
+        # a (2000, 3) array used to be pooled into 6000 samples
+        noise = NoiseSource(0)
+        with pytest.raises(InvalidParameterError, match="one column"):
+            univariate_mean(np.ones(shape), 1.0, 0.05, 10.0, 100.0, noise)
+        assert noise.uniform() == NoiseSource(0).uniform()
+
+    def test_one_column_array_is_its_column(self):
+        x = 1.0 + NoiseSource(2).gaussian(3.0, size=2000)
+        want = univariate_mean(x, 1.0, 0.05, 10.0, 100.0, NoiseSource(4))
+        got = univariate_mean(x[:, None], 1.0, 0.05, 10.0, 100.0, NoiseSource(4))
+        assert got.mu_hat == want.mu_hat and got.diagnostics == want.diagnostics
+
+    @pytest.mark.parametrize("kappa", [1.0, 100.0])
+    def test_strided_column_is_read_in_place(self, kappa):
+        # a column of a C-order matrix is read where it lies, as the mean
+        # third's columns are: no copy of it, and the scale vote's pairs,
+        # magnitudes and keys share one array
+        n = 133_333
+        x = 0.5 + 3.0 * np.random.default_rng(7).standard_normal((n, 8))
+        want = univariate_mean(x[:, 5].copy(), 0.1, 0.05, 1e4, kappa, NoiseSource(3))
+        univariate_mean(x[:2000, 5], 0.1, 0.05, 1e4, kappa, NoiseSource(3))   # warm up
+        tracemalloc.start()
+        try:
+            got = univariate_mean(x[:, 5], 0.1, 0.05, 1e4, kappa, NoiseSource(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.mu_hat == want.mu_hat and got.weak_estimate == want.weak_estimate
+        assert got.diagnostics == want.diagnostics
+        assert peak / n <= 16.0
+
     @pytest.mark.parametrize("bad, bucket", [(math.nan, -4), (-math.inf, -4),
                                              (-1e300, -4), (math.inf, 3),
                                              (1e300, 3)])
@@ -328,7 +361,8 @@ class TestLearnGaussian:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / n <= 16.0
+        # measured 5.4 bytes per row without the huge rows and 13.2 with them
+        assert peak / n <= (16.0 if huge else 6.5)
 
     def test_budget_composition(self):
         x = NoiseSource(13).gaussian(1.0, size=(1200, 2))
