@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -49,6 +49,14 @@ class FingerprintReport:
         }
 
 
+def _weights(kind: str, model: np.ndarray, R: float = 1.0) -> np.ndarray:
+    """The tracing score's per-coordinate weights, zero exactly on its prior's
+    boundary: (1/9 - p^2) / (1 - p^2) at |p| = 1/3, R^2 - mu^2 at |mu| = R."""
+    if kind == "product":
+        return (1.0 / 9.0 - model ** 2) / (1.0 - model ** 2)
+    return R ** 2 - model ** 2
+
+
 def fp_score_product(est: np.ndarray, x_row: np.ndarray,
                      p: np.ndarray) -> float:
     """Tracing score for product distributions over {-1, +1}^d.
@@ -60,8 +68,7 @@ def fp_score_product(est: np.ndarray, x_row: np.ndarray,
     p = np.asarray(p, dtype=float).ravel()
     if np.any(np.abs(p) >= 1):
         raise InvalidParameterError("|p_j| must be < 1")
-    w = (1.0 / 9.0 - p ** 2) / (1.0 - p ** 2)
-    return float(np.sum(w * (est - p) * (x_row - p)))
+    return float(np.sum(_weights("product", p) * (est - p) * (x_row - p)))
 
 
 def fp_score_gaussian(est: np.ndarray, x_row: np.ndarray, mu: np.ndarray,
@@ -75,13 +82,12 @@ def fp_score_gaussian(est: np.ndarray, x_row: np.ndarray, mu: np.ndarray,
     mu = np.asarray(mu, dtype=float).ravel()
     if np.any(np.abs(mu) > R):
         raise InvalidParameterError("||mu||_inf must be <= R")
-    return float(np.sum((R ** 2 - mu ** 2) * (est - mu) * (x_row - mu)))
+    return float(np.sum(_weights("gaussian", mu, R) * (est - mu) * (x_row - mu)))
 
 
 def run_tracing_attack(mechanism: Callable[[np.ndarray], np.ndarray],
                        kind: str, n: int, d: int, trials: int,
-                       noise: NoiseSource, R: float = 1.0,
-                       prior_bound: Optional[float] = None) -> FingerprintReport:
+                       noise: NoiseSource, R: float = 1.0) -> FingerprintReport:
     """Score a black-box mean estimator against the tracing statistic.
 
     Per trial: draw the model from the score's prior, draw n member rows and
@@ -92,22 +98,21 @@ def run_tracing_attack(mechanism: Callable[[np.ndarray], np.ndarray],
     single row's score, much lower variance); the per-coordinate trace
     statistic accumulates all member scores.
 
-    kind="product": prior uniform on [-1/3, 1/3]^d (override with a
-    prior_bound in (0, 1)), rows in {-1, +1}^d.  kind="gaussian": prior
-    uniform on [-R, R]^d (R > 0; prior_bound in (0, R]), rows N(mu, I).
-    Other bounds raise ``InvalidParameterError``.  Mechanism exceptions are
-    recorded as failures, not raised, except the mechanism's parameter
-    errors (``InvalidParameterError``, ``InsufficientSamplesError``): every
-    trial would fail the same way, so they propagate to the caller.
+    kind="product": prior uniform on [-1/3, 1/3]^d, rows in {-1, +1}^d.
+    kind="gaussian": prior uniform on [-R, R]^d, rows N(mu, I); R must be
+    positive and finite.  The score's weights vanish exactly on the prior's
+    boundary, as the trace bound assumes.  Mechanism exceptions are recorded
+    as failures, not raised, except the mechanism's parameter errors
+    (``InvalidParameterError``, ``InsufficientSamplesError``): every trial
+    would fail the same way, so they propagate to the caller.
     """
     if kind not in ("product", "gaussian"):
         raise InvalidParameterError(f"unknown kind {kind!r}")
     if trials < 1 or n < 1:
         raise InvalidParameterError("need trials >= 1 and n >= 1")
-    bound = prior_bound if prior_bound is not None else (1.0 / 3.0 if kind == "product" else R)
-    if not (0 < bound < 1 if kind == "product" else R > 0 and 0 < bound <= R):
-        raise InvalidParameterError(
-            f"prior_bound {bound} is outside the {kind} score's domain (R={R})")
+    if kind == "gaussian" and not 0 < R < math.inf:
+        raise InvalidParameterError(f"the gaussian prior needs 0 < R < inf, got R={R}")
+    bound = 1.0 / 3.0 if kind == "product" else R
 
     in_scores, out_scores, lhs_vals = [], [], []
     failures = 0
@@ -127,10 +132,7 @@ def run_tracing_attack(mechanism: Callable[[np.ndarray], np.ndarray],
             failures += 1
             continue
         est = np.clip(est, -bound, bound)
-        if kind == "product":
-            w = (1.0 / 9.0 - model ** 2) / (1.0 - model ** 2)
-        else:
-            w = R ** 2 - model ** 2
+        w = _weights(kind, model, R)
         scores_in = (x - model) @ (w * (est - model))
         scores_out = (x_out - model) @ (w * (est - model))
         in_scores.append(float(scores_in.mean()))

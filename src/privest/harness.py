@@ -33,8 +33,9 @@ TASKS = ("gaussian-cov", "gaussian-cov-unbounded", "gaussian-mean",
 CSV_COLUMNS = ("task", "seed", "trial", "n", "d", "param-json",
                "metric-name", "metric-value")
 
-# The JSON values a config field admits, by its annotation (a bool is no number).
-_JSON_TYPES = {"int": Integral, "float": Real, "list": list, "bool": bool, "str": str}
+# The JSON values a config field admits, by its annotation (a bool is no
+# number); a list field's annotation names its entries' type, list[int].
+_JSON_TYPES = {"int": Integral, "float": Real, "bool": bool, "str": str}
 
 
 @dataclass
@@ -43,7 +44,7 @@ class ExperimentConfig:
     n: int = 10000
     d: int = 4
     trials: int = 1
-    seeds: Optional[list] = None
+    seeds: Optional[list[int]] = None
     seed: int = 0
     rho: Optional[float] = None
     eps: Optional[float] = None
@@ -52,8 +53,8 @@ class ExperimentConfig:
     beta: float = 0.05
     R: float = 10.0
     kappa: float = 100.0
-    spectrum: Optional[list] = None
-    p: Optional[list] = None
+    spectrum: Optional[list[float]] = None
+    p: Optional[list[float]] = None
     m: Optional[int] = None          # product block-size override
     mechanism: str = "empirical-mean"
     attack_trials: int = 200
@@ -63,7 +64,7 @@ class ExperimentConfig:
     out: Optional[str] = None
     samples_csv: bool = False
     header: bool = False
-    sweep_n: Optional[list] = None
+    sweep_n: Optional[list[int]] = None
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -95,7 +96,11 @@ class ExperimentConfig:
             raise InvalidParameterError(f"no task given; expected one of {TASKS}")
         for k, v in raw.items():
             kind = fields[k].type.removeprefix("Optional[").removesuffix("]")
-            ok = isinstance(v, _JSON_TYPES[kind]) and isinstance(v, bool) == (kind == "bool")
+            entry = kind.removeprefix("list[").removesuffix("]")
+            entries = v if entry != kind else [v]
+            ok = isinstance(entries, list) and all(
+                isinstance(e, _JSON_TYPES[entry]) and isinstance(e, bool) == (entry == "bool")
+                for e in entries)
             if not (ok or v is None and fields[k].default is None):
                 raise InvalidParameterError(f"config {k} must be of type {kind}, got {v!r}")
         return cls(**raw)

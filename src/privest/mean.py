@@ -47,6 +47,20 @@ class MeanEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _aborted(rho: float, **diagnostics) -> MeanEstimate:
+    """The bottom outcome: no estimate, and the whole budget ``rho`` spent."""
+    return MeanEstimate(mu_hat=None, budget_spent=PrivacyBudget.zcdp(rho),
+                        aborted=True, diagnostics=diagnostics)
+
+
+def _bucket_keys(keys: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``keys`` floored in place and cast to integer buckets in [lo, hi):
+    out-of-range values go to the end buckets and NaN to lo.  A fixed map
+    from sample to bucket, so a vote's sensitivity does not depend on the data."""
+    keys = np.floor(keys, out=keys)
+    return np.fmin(np.fmax(keys, lo, out=keys), hi - 1, out=keys).astype(int)
+
+
 def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
                     kappa: float, noise: NoiseSource) -> MeanEstimate:
     """One-dimensional mean estimation for N(mu, sigma^2), |mu| <= R,
@@ -69,73 +83,54 @@ def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
     known_scale = kappa <= 1.0 + 1e-12
     diagnostics: dict = {}
 
-    if known_scale:
-        sigma_hat = 1.0
-        rho_loc = rho / 2.0
-    else:
+    sigma_hat, rho_loc = 1.0, rho / 2.0
+    if not known_scale:
         # Scale vote: |N(0, sigma^2)| differences, geometric base-2 buckets.
-        # One array holds each pair, then its magnitude, then its key: fmax
-        # lifts 0, NaN (inf - inf) and all below 2^k_lo into bucket k_lo.
+        # One array holds each pair, then its magnitude, its log2 and its
+        # key; a zero or NaN (inf - inf) pair votes for the lowest bucket.
         npairs = 2 * (hist_block.shape[0] // 2)
         k_lo, k_hi = -8, math.ceil(math.log2(math.sqrt(kappa))) + 8
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore"):
             keys = np.subtract(hist_block[1:npairs:2], hist_block[0:npairs:2])
-        keys = np.abs(np.divide(keys, math.sqrt(2.0), out=keys), out=keys)
-        keys = np.floor(np.log2(np.fmax(keys, 2.0 ** (k_lo - 1), out=keys), out=keys), out=keys)
-        keys = np.clip(keys, k_lo, k_hi, out=keys).astype(int)
-        h = histogram_zcdp(keys, k_lo, k_hi + 1, rho / 4.0, beta / 2.0, noise)
-        k_star = argmax_bucket(h, SCALE_VOTE)
+            keys = np.abs(np.divide(keys, math.sqrt(2.0), out=keys), out=keys)
+            keys = _bucket_keys(np.log2(keys, out=keys), k_lo, k_hi + 1)
+        k_star = argmax_bucket(histogram_zcdp(keys, k_lo, k_hi + 1, rho / 4.0,
+                                              beta / 2.0, noise), SCALE_VOTE)
         if k_star is None:
-            return MeanEstimate(mu_hat=None, budget_spent=PrivacyBudget.zcdp(rho),
-                                aborted=True, diagnostics={"stage": "scale"})
-        sigma_hat = 2.0 ** k_star
-        rho_loc = rho / 4.0
+            return _aborted(rho, stage="scale")
+        sigma_hat, rho_loc = 2.0 ** k_star, rho / 4.0
         diagnostics["sigma_hat"] = sigma_hat
 
     # Location vote: buckets covering [-R, R], out-of-range samples clamped
     # into the end buckets.  With an unknown scale the width is twice the
     # voted scale, so the bucket is at least one true standard deviation
-    # wide and the modal bucket keeps a quarter of the mass.  A NaN sample
-    # goes to the lowest bucket: a fixed map from sample to bucket, so the
-    # vote's sensitivity is unchanged.
+    # wide and the modal bucket keeps a quarter of the mass.
     width = sigma_hat if known_scale else 2.0 * sigma_hat
     g = math.ceil(R / width) + 1
-    keys = np.divide(hist_block, width)   # fmax below sends NaN to -g
-    keys = np.fmin(np.fmax(np.floor(keys, out=keys), -g, out=keys), g - 1, out=keys).astype(int)
-    h = histogram_zcdp(keys, -g, g, rho_loc, beta / 2.0, noise)
-    r_star = argmax_bucket(h, LOCATION_VOTE)
+    keys = _bucket_keys(np.divide(hist_block, width), -g, g)
+    r_star = argmax_bucket(histogram_zcdp(keys, -g, g, rho_loc, beta / 2.0, noise),
+                           LOCATION_VOTE)
     if r_star is None:
-        return MeanEstimate(mu_hat=None, budget_spent=PrivacyBudget.zcdp(rho),
-                            aborted=True, diagnostics={"stage": "location"})
+        return _aborted(rho, stage="location")
     mu_tilde = r_star * width
 
-    if known_scale:
-        # Single CDF reading at the bucket edge; l2-sensitivity 1/m.
-        p = float(gaussian_mechanism_vector(np.mean(cdf_block <= mu_tilde),
-                                            1.0 / m, rho / 2.0, noise))
-        p = min(max(p, 1.0 / (2.0 * m)), 1.0 - 1.0 / (2.0 * m))
-        mu_hat = mu_tilde - float(ndtri(p))
-    else:
-        # Two CDF readings one voted-scale apart straddling the bucket
-        # center; jointly sensitivity sqrt(2)/m.  Inverting both solves for
-        # the mean and the exact scale, so the voted scale only needs to be
-        # right within its factor-of-2 guarantee.
-        center = mu_tilde + width / 2.0
-        t1, t2 = center - sigma_hat / 2.0, center + sigma_hat / 2.0
-        p = gaussian_mechanism_vector(
-            [np.mean(cdf_block <= t1), np.mean(cdf_block <= t2)],
-            math.sqrt(2.0) / m, rho / 2.0, noise)
-        p = np.clip(p, 1.0 / (2.0 * m), 1.0 - 1.0 / (2.0 * m))
-        z1, z2 = float(ndtri(p[0])), float(ndtri(p[1]))
-        dz = min(max(z2 - z1, _DZ_MIN), _DZ_MAX)
-        sigma_est = sigma_hat / dz
-        mu_hat = t1 - sigma_est * z1
+    # CDF readings, k of them released as one vector of l2-sensitivity
+    # sqrt(k)/m.  At unit variance one reading at the bucket edge inverts to
+    # the mean.  Otherwise two readings one voted scale apart straddle the
+    # bucket center, and inverting both solves for the mean and the exact
+    # scale, so the voted scale only needs its factor-of-2 guarantee.
+    center = mu_tilde + width / 2.0
+    t = [mu_tilde] if known_scale else [center - sigma_hat / 2.0, center + sigma_hat / 2.0]
+    p = gaussian_mechanism_vector([np.mean(cdf_block <= ti) for ti in t],
+                                  math.sqrt(len(t)) / m, rho / 2.0, noise)
+    z = ndtri(np.clip(p, 1.0 / (2.0 * m), 1.0 - 1.0 / (2.0 * m))).tolist()
+    sigma_est = 1.0
+    if not known_scale:
+        sigma_est = sigma_hat / min(max(z[1] - z[0], _DZ_MIN), _DZ_MAX)
         diagnostics["sigma_est"] = sigma_est
-
-    return MeanEstimate(mu_hat=np.float64(mu_hat),
-                        budget_spent=PrivacyBudget.zcdp(rho),
-                        weak_estimate=np.float64(mu_tilde),
-                        diagnostics=diagnostics)
+    mu_hat = t[0] - sigma_est * z[0]
+    return MeanEstimate(mu_hat=np.float64(mu_hat), budget_spent=PrivacyBudget.zcdp(rho),
+                        weak_estimate=np.float64(mu_tilde), diagnostics=diagnostics)
 
 
 def _samples(x, min_rows: int, **params) -> np.ndarray:
@@ -166,10 +161,7 @@ def naive_pme(x: np.ndarray, rho: float, alpha: float, beta: float, R: float,
         est = univariate_mean(x[:, j], rho / d, beta / d, R, kappa,
                               noise.child(j))
         if est.aborted:
-            return MeanEstimate(mu_hat=None, budget_spent=PrivacyBudget.zcdp(rho),
-                                aborted=True,
-                                diagnostics={"aborted_coordinate": j,
-                                             **est.diagnostics})
+            return _aborted(rho, aborted_coordinate=j, **est.diagnostics)
         mu[j] = est.mu_hat
         weak[j] = est.weak_estimate
     return MeanEstimate(mu_hat=mu, budget_spent=PrivacyBudget.zcdp(rho),
@@ -199,8 +191,7 @@ def pme(x: np.ndarray, rho: float, alpha: float, beta: float, R: float,
                    "ignored_rows": total - 3 * n,
                    **inner.diagnostics}
     if inner.aborted:
-        return MeanEstimate(mu_hat=None, budget_spent=PrivacyBudget.zcdp(2.0 * rho),
-                            aborted=True, diagnostics=diagnostics)
+        return _aborted(2.0 * rho, **diagnostics)
     mu_hat = pre.A_inv @ inner.mu_hat
     return MeanEstimate(mu_hat=mu_hat, budget_spent=PrivacyBudget.zcdp(2.0 * rho),
                         weak_estimate=inner.weak_estimate,

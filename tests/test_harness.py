@@ -332,9 +332,14 @@ class TestCli:
 
     @pytest.mark.parametrize("raw", [{"rho": "1"}, {"n": 2000.5, "rho": 1},
                                      {"rho": True}, {"n": None, "rho": 1},
-                                     {"header": 1, "rho": 1}, {"spectrum": 4.0, "rho": 1}])
+                                     {"header": 1, "rho": 1}, {"spectrum": 4.0, "rho": 1},
+                                     {"seeds": ["a"], "rho": 1}, {"seeds": [1.5], "rho": 1},
+                                     {"seeds": [True], "rho": 1}, {"sweep_n": ["5"], "rho": 1},
+                                     {"spectrum": ["x", 1], "d": 2, "rho": 1},
+                                     {"p": [0.5, False], "rho": 1}])
     def test_config_value_of_wrong_type_is_exit_2(self, tmp_path, capsys, raw):
-        # checked before __post_init__ compares it: a TypeError traceback before
+        # checked before __post_init__ compares it: a TypeError traceback before.
+        # A list's entries are checked too: seeds [1.5] used to run seed 1
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(raw))
         rc = cli_main(["learn-gaussian", "--config", str(cfg_path), "--seed", "1"])
@@ -345,8 +350,9 @@ class TestCli:
     def test_config_values_of_every_type_are_accepted(self):
         cfg = ExperimentConfig.from_dict({
             "task": "gaussian-full", "n": 2000, "rho": 1, "kappa": 10, "beta": 0.1,
-            "seeds": [1, 2], "spectrum": None, "zero_noise": False, "out": None})
-        assert cfg.rho == 1 and cfg.seeds == [1, 2]
+            "seeds": [1, 2], "spectrum": None, "p": [0.25, 1], "zero_noise": False,
+            "out": None})
+        assert cfg.rho == 1 and cfg.seeds == [1, 2] and cfg.p == [0.25, 1]
 
     def test_attack_parameter_error_is_exit_2(self, capsys):
         # every trial would fail the same way; the attack used to count them

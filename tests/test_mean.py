@@ -392,3 +392,40 @@ class TestLearnGaussian:
                 20_000, NoiseSource(900 + seed))
             good += tv <= 0.3
         assert good >= 8
+
+
+def _mean_estimate(name, x, kappa):
+    noise = NoiseSource(21)
+    if name == "univariate_mean":
+        return univariate_mean(x[:, 0], 1.0, 0.05, 10.0, kappa, noise)
+    if name == "learn_gaussian":
+        return learn_gaussian(x, 1.0, 0.1, 0.05, 10.0, kappa, noise)[0]
+    return {"naive_pme": naive_pme, "pme": pme}[name](x, 1.0, 0.1, 0.05, 10.0, kappa, noise)
+
+
+# Each stage's block of rows, as fractions of the rows: univariate_mean's
+# votes and CDF readings, pme's covariance pairs and mean third
+_BLOCKS = {"vote": (0, 1 / 2), "cdf": (1 / 2, 1), "pairs": (0, 2 / 3), "mean": (2 / 3, 1)}
+# (estimator, kappa, rows, columns, stages)
+_ROBUSTNESS = [("univariate_mean", 1.0, 4000, 1, ("vote", "cdf")),
+               ("univariate_mean", 100.0, 4000, 1, ("vote", "cdf")),
+               ("naive_pme", 100.0, 4000, 3, ("vote", "cdf"))] + [
+    (name, kappa, 12_000, 3, ("pairs", "mean")) for name in ("pme", "learn_gaussian")
+    for kappa in (100.0, 1e4)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, 1e150, 1e300])
+@pytest.mark.parametrize("share", ["row", "tenth"])
+@pytest.mark.parametrize("name, kappa, n, d, stage", [
+    (name, kappa, n, d, stage) for name, kappa, n, d, stages in _ROBUSTNESS
+    for stage in stages])
+def test_bad_rows_give_a_finite_mean_or_an_abort(name, kappa, n, d, stage, share, value):
+    # one row, or every tenth row, of one stage's block is replaced
+    x = 0.5 + NoiseSource(20).gaussian(1.0, size=(n, d)) * np.sqrt(
+        np.geomspace(1.0, kappa, d))
+    lo, hi = (round(f * n) for f in _BLOCKS[stage])
+    x[lo + 1 if share == "row" else slice(lo, hi, 10)] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = _mean_estimate(name, x, kappa)
+    assert est.aborted or np.all(np.isfinite(est.mu_hat))

@@ -77,6 +77,27 @@ class TestUnivariateMean:
 
         assert_neighbours_within_sensitivity(monkeypatch, estimate, x, y)
 
+    @pytest.mark.parametrize("kappa", [1.0, 100.0])
+    def test_release_structure(self, monkeypatch, kappa):
+        # the votes, then the k CDF readings as one release of a k-vector
+        n, rho = 4001, 0.8
+        x = 1.7 + NoiseSource(32).gaussian(math.sqrt(kappa), size=n)
+        got = []
+        log = releases(monkeypatch, lambda: got.append(
+            mean.univariate_mean(x, rho, 0.05, 10.0, kappa, NoiseSource(5))))
+        est, = got
+        assert not est.aborted
+        vote, m = n // 2, n - n // 2
+        if kappa == 1:   # location vote, one reading at the bucket edge
+            k, want = 1, [(math.sqrt(2.0) / vote, rho / 2.0)]
+        else:   # scale vote over pairs, location vote, two readings
+            k, want = 2, [(math.sqrt(2.0) / (vote // 2), rho / 4.0),
+                          (math.sqrt(2.0) / vote, rho / 4.0)]
+        want.append((math.sqrt(k) / m, rho / 2.0))
+        assert [r[1:] for r in log] == want
+        assert log[-1][0].shape == (k,)
+        assert math.fsum(r[2] for r in log) == est.budget_spent.rho
+
 
 def ppde(rows, m):
     product.ppde(rows, 1.0, 0.2, 0.05, NoiseSource.zero(), m=m)
