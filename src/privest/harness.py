@@ -73,6 +73,8 @@ class ExperimentConfig:
         for k in ("trials", "n", "d"):
             if not getattr(self, k) >= 1:
                 raise InvalidParameterError(f"{k} must be >= 1, got {getattr(self, k)}")
+        if self.seeds == []:  # no trial would run and the report would be empty
+            raise InvalidParameterError("seeds must name at least one seed")
         if self.sweep_n and not all(k >= 1 for k in self.sweep_n):
             raise InvalidParameterError(
                 f"sweep_n entries must be >= 1, got {self.sweep_n}")
@@ -183,12 +185,10 @@ def learn_product_flip_heavy(x: np.ndarray, rho: float, alpha: float,
         x[:, flipped] = 1 - x[:, flipped]
     model = product.ppde(x, 0.9 * rho, alpha, beta, noise, m=m,
                          diagnostics=diagnostics)
-    q = model.p.copy()
-    if flipped:
-        q[flipped] = 1.0 - q[flipped]
+    model.p[flipped] = 1.0 - model.p[flipped]
     if diagnostics is not None:
         diagnostics.update(flipped=flipped, budget_spent=PrivacyBudget.zcdp(rho))
-    return product.ProductModel(p=q)
+    return model
 
 
 def _attack_mechanism(cfg: ExperimentConfig, mech_src: NoiseSource):

@@ -30,8 +30,8 @@ from .errors import InvalidInputError, InvalidParameterError, check
 from .noise import NoiseSource
 from .privacy import gaussian_mechanism_vector
 
-# Keys per counting block in histogram_zcdp: 512 KiB of intp offsets.
-_COUNT_BLOCK = 1 << 16
+# Keys per counting block in histogram_zcdp: 64 KiB of intp offsets.
+_COUNT_BLOCK = 1 << 13
 
 
 @dataclass

@@ -25,10 +25,8 @@ from .privacy import PrivacyBudget, gaussian_mechanism_vector
 U_1 = 0.5
 TAU_1 = 3.0 / 16.0
 
-# Uniforms per chunk in sample_product: 512 KiB of float64 at a time.
-_SAMPLE_CHUNK = 1 << 16
-# Values per block in tmean: 64 KiB of float64 at a time.
-_TMEAN_BLOCK = 1 << 13
+# Values per block in sample_product and tmean: 64 KiB of float64 at a time.
+_BLOCK = 1 << 13
 
 
 @dataclass
@@ -61,13 +59,14 @@ class RoundState:
     rows: tuple  # [start, stop) row range read this round
 
 
-def tmean(x: np.ndarray, B: float) -> np.ndarray:
+def tmean(x: np.ndarray, B: float, cols: Optional[np.ndarray] = None) -> np.ndarray:
     """Mean of row-wise truncations; changing one row moves it by <= 2B/m.
 
     B may be any value in [0, inf]; a negative or NaN B is rejected.  A row
     of zero or NaN norm keeps scale 1; one of infinite norm gets scale 0
-    when B is finite.  Rows of any dtype are converted, truncated and summed
-    in blocks of ``_TMEAN_BLOCK`` values through one float buffer whose
+    when B is finite.  ``tmean(x, B, cols)`` is ``tmean(x[:, cols], B)``
+    without that copy: rows of any dtype are gathered, converted, truncated
+    and summed in blocks of ``_BLOCK`` values through one float buffer whose
     first row carries the running sums.  numpy's axis-0 sum adds row by row,
     so this is ``(x * scale[:, None]).mean(axis=0)`` bit for bit; one column
     is one pairwise sum, so it is taken whole.
@@ -75,16 +74,17 @@ def tmean(x: np.ndarray, B: float) -> np.ndarray:
     if not B >= 0:
         raise InvalidParameterError(f"B must be >= 0, got {B}")
     x = check_samples(np.asarray(x))
-    m, d = x.shape
+    cols = slice(None) if cols is None else cols  # all columns: a view per block
+    m, d = len(x), check_samples(x[:0, cols]).shape[1]
     if m == 0:
         raise EmptyInputError("tmean of zero rows")
-    step = m if d < 2 else max(1, _TMEAN_BLOCK // d)
+    step = m if d < 2 else max(1, _BLOCK // d)
     buf = np.empty((min(step, m) + 1, d))
     with np.errstate(all="ignore"):  # fmin drops the NaN of 0/0 and B/NaN
         for start in range(0, m, step):
             lo = 1 if start else 0  # the first block has no running sum yet
             rows = buf[lo: lo + min(step, m - start)]
-            rows[...] = x[start: start + step]
+            rows[...] = x[start: start + step, cols]
             norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
             rows *= np.fmin(1.0, B / norms)[:, None]
             np.add.reduce(buf[:lo + len(rows)], axis=0, out=buf[0])
@@ -118,11 +118,11 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
     Rows must be 0/1 in any dtype; integers are checked in their own dtype.
     The data splits into R+1 disjoint blocks of m rows (an explicit m must
     be an integer >= 1, numpy integers included).  Each round reads one
-    block: it takes a truncated mean of the active coordinates (truncation
-    radius B_r set by the current bias bound u_r), adds Gaussian noise,
-    freezes coordinates whose noisy mean clears tau_r, and halves u and tau
-    for the rest.  The final round reads one
-    more block for whatever remains.  The output is clamped into [0,1]^d.
+    block in place: it takes a truncated mean of the active coordinates
+    (truncation radius B_r set by the current bias bound u_r), adds Gaussian
+    noise, freezes coordinates whose noisy mean clears tau_r, and halves u
+    and tau for the rest.  The final round reads one more block for whatever
+    remains.  The output is clamped into [0,1]^d.
 
     Each round's truncated mean is released by the Gaussian mechanism at
     rho with sensitivity sqrt(2)*B_r/m: two truncated 0/1 rows lie in the
@@ -162,7 +162,7 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
         last = u * len(active) < 1.0 or r > r_max
         b_r = (math.sqrt(6.0 * math.log(m / beta)) if last else
                math.sqrt(6.0 * u * len(active) * math.log(m * r_max / beta)))
-        noisy = gaussian_mechanism_vector(tmean(x[(r - 1) * m: r * m, active], b_r),
+        noisy = gaussian_mechanism_vector(tmean(x[(r - 1) * m: r * m], b_r, active),
                                           math.sqrt(2.0) * b_r / m, rho, noise)
         freeze = np.ones(len(active), bool) if last else noisy >= tau
         q[active[freeze]] = noisy[freeze]
@@ -184,7 +184,7 @@ def sample_product(model: ProductModel, n: int, noise: NoiseSource) -> np.ndarra
     """n i.i.d. rows from the product of Ber(p_j), as an (n, d) int8 array.
 
     Coordinate j is 1 where its uniform draw is below p_j.  Rows are drawn
-    in chunks of about ``_SAMPLE_CHUNK`` uniforms straight into a bool
+    in chunks of about ``_BLOCK`` uniforms straight into a bool
     buffer, so the only full-size array is the 1-byte result.  The chunks
     read the stream one (n, d) draw would, so the rows and the stream
     position afterwards equal those of
@@ -192,7 +192,7 @@ def sample_product(model: ProductModel, n: int, noise: NoiseSource) -> np.ndarra
     """
     d = model.dim
     out = np.empty((n, d), dtype=bool)
-    step = max(1, _SAMPLE_CHUNK // max(d, 1))
+    step = max(1, _BLOCK // max(d, 1))
     for start in range(0, n, step):
         rows = out[start: start + step]
         np.less(noise.uniform(size=rows.shape), model.p, out=rows)

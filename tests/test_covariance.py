@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from privest.covariance import (ROUND_SCALE, ROUND_SHRINK, TARGET_KAPPA,
                                 _Frame, _Pairs, clamp_threshold_sq,
                                 clamped_covariance, naive_pce, pgce, ppc,
                                 weak_ppc)
-from privest.errors import EmptyInputError, InvalidParameterError
+from privest.errors import EmptyInputError, InvalidParameterError, PrivestError
 from privest.linalg import GaussianParams, mahalanobis_mat, sample_gaussian
+from privest.mean import learn_gaussian
 from privest.noise import NoiseSource
 
 
@@ -703,3 +705,26 @@ class TestFirstRead:
             tracemalloc.stop()
         assert est.diagnostics["dropped"] == 3
         assert peak / n <= 40.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, 1e150, 1e300])
+@pytest.mark.parametrize("share", ["row", "tenth"])
+@pytest.mark.parametrize("kappa", [100.0, 1e6])
+@pytest.mark.parametrize("name", ["pgce", "learn_gaussian"])
+def test_bad_rows_give_a_symmetric_psd_covariance_or_an_error(name, kappa, share, value):
+    # row 7, or every tenth row, is replaced; the estimate must stay finite,
+    # exactly symmetric and PSD up to rounding, or the run must refuse
+    x = NoiseSource(20).gaussian(1.0, size=(6000, 8)) * np.sqrt(np.geomspace(1.0, kappa, 8))
+    x[7 if share == "row" else slice(None, None, 10)] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            if name == "pgce":
+                sigma = pgce(x, 1.0, 0.05, kappa, NoiseSource(21)).sigma_hat
+            else:
+                sigma = learn_gaussian(x, 1.0, 0.1, 0.05, 10.0, kappa, NoiseSource(21))[1].sigma_hat
+        except PrivestError:
+            return
+    assert np.all(np.isfinite(sigma))
+    assert np.array_equal(sigma, sigma.T)
+    assert np.linalg.eigvalsh(sigma).min() >= -1e-9 * max(1.0, np.abs(sigma).max())

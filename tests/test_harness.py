@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from privest import harness
+from privest import harness, product
 from privest.cli import build_parser, main as cli_main
 from privest.errors import InvalidParameterError
 from privest.harness import (CSV_COLUMNS, ExperimentConfig,
@@ -61,6 +61,21 @@ class TestExperimentConfig:
         assert cli_main(["sweep", "--task", "product", "--rho", "1", "--d", "4",
                          "--m", "100", "--sweep-n", "200000", "0"]) == 2
 
+    def test_empty_seeds_rejected_before_any_run(self, monkeypatch, tmp_path):
+        # an empty list used to run no trial, write an empty report and exit 0
+        def no_trial(*args):
+            raise AssertionError("a trial ran with no seeds")
+
+        monkeypatch.setattr(harness, "_run_trial", no_trial)
+        with pytest.raises(InvalidParameterError, match="seeds"):
+            ExperimentConfig(task="product", rho=1.0, seeds=[])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seeds": [], "rho": 1}))
+        out = tmp_path / "out"
+        assert cli_main(["learn-gaussian", "--config", str(cfg_path),
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_param_json_stable(self):
         cfg = ExperimentConfig(task="product", rho=1.0, d=6)
         blob = json.loads(cfg.param_json())
@@ -112,9 +127,9 @@ class TestRunExperiment:
 
     def test_product_task_peak_memory_per_key(self):
         # every full-size array on the product path holds one byte per key,
-        # and tmean streams its float blocks, so the peak is the int8 keys, a
-        # flipped copy of them and the round's 1-byte block: about 1.5 bytes
-        # per key here
+        # and every pass past the keys works in fixed-size blocks, so the
+        # peak is the int8 keys (no column flips here): about 1.1 bytes per
+        # key
         n, d = 200_000, 12
         cfg = ExperimentConfig(task="product", rho=1.0, n=n, d=d, m=50_000,
                                flip_heavy=True, seed=3)
@@ -125,6 +140,23 @@ class TestRunExperiment:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * n * d
+
+    @pytest.mark.parametrize("n", [80_000, 640_000])
+    def test_product_path_working_set_does_not_grow_with_n(self, n):
+        # the benchmark's flip-heavy model (d 12, m = n/4): past the int8
+        # keys, sampling, the flip vote and ppde hold only fixed-size blocks
+        # (0.25 MiB measured); a copy of each round's block grows with m.
+        # No round here has one active column, which tmean sums whole
+        d = 12
+        p = harness._truth_product(ExperimentConfig(task="product", rho=1.0, d=d))
+        tracemalloc.start()
+        try:
+            x = product.sample_product(product.ProductModel(p), n, NoiseSource(1))
+            learn_product_flip_heavy(x, 1.0, 0.2, 0.05, NoiseSource(2), m=n // 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - n * d <= 0.35 * 2**20
 
     def test_samples_csv_written(self, tmp_path):
         out = tmp_path / "run"

@@ -8,9 +8,8 @@ from privest.errors import (EmptyInputError, InsufficientSamplesError,
                             InvalidParameterError)
 from privest.metrics import tv_product_exact
 from privest.noise import NoiseSource
-from privest.product import (_SAMPLE_CHUNK, _TMEAN_BLOCK, ProductModel,
-                             RoundState, num_rounds, ppde,
-                             required_block_size, sample_product, tmean)
+from privest.product import (_BLOCK, ProductModel, RoundState, num_rounds,
+                             ppde, required_block_size, sample_product, tmean)
 
 
 def trunc(x, B):
@@ -113,7 +112,7 @@ class TestTmean:
             want = np.mean([trunc(row, b) for row in x], axis=0)
             assert np.allclose(tmean(x, b), want, rtol=1e-12, atol=1e-15)
 
-    DIMS = [1, 2, 12, _TMEAN_BLOCK + 5]
+    DIMS = [1, 2, 12, _BLOCK + 5]
     SIZES = ["one", "block-1", "block", "block+1", "blocks"]
     RADII = [0.0, 1e-300, 1.5, math.inf]
 
@@ -122,7 +121,7 @@ class TestTmean:
         # m at one row, at the block's row count and one either side of it,
         # and at several blocks plus a remainder; past the block size in d,
         # each block is one row
-        step = max(1, _TMEAN_BLOCK // d)
+        step = max(1, _BLOCK // d)
         m = {"one": 1, "block-1": max(1, step - 1), "block": step,
              "block+1": step + 1, "blocks": 3 * step + 2}[size]
         rng = np.random.default_rng(seed)
@@ -155,6 +154,28 @@ class TestTmean:
         x = self.rows(d, size, dtype, seed, specials)
         assert np.array_equal(tmean(x, b), whole_block_tmean(x, b),
                               equal_nan=True)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from([np.int8, bool, float]), st.sampled_from([1, 3, 12, 40]),
+           st.data(), st.sampled_from(RADII))
+    def test_column_selection_equals_the_sliced_call(self, dtype, d, data, b):
+        # ppde reads each round's active columns through cols, in place
+        cols = data.draw(st.lists(st.integers(0, d - 1), min_size=1, unique=True).map(sorted))
+        step = max(1, _BLOCK // len(cols))  # the gathered block's row count
+        m = data.draw(st.sampled_from([1, max(1, step - 1), step, step + 1, 2 * step + 3]))
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        x = np.random.default_rng(seed).integers(0, 2, size=(m, d)).astype(dtype)
+        want = tmean(x[:, cols], b)
+        assert np.array_equal(tmean(x, b, np.array(cols)), want)
+        assert np.array_equal(tmean(x, b, cols), want)
+        assert np.array_equal(tmean(x, b, None), whole_block_tmean(x, b))
+
+    def test_column_selection_is_checked_like_the_sliced_call(self):
+        x = np.ones((4, 3), np.int8)
+        with pytest.raises(InvalidParameterError):
+            tmean(x, 1.0, np.array([], dtype=np.intp))
+        with pytest.raises(IndexError):
+            tmean(x, 1.0, [3])
 
     def test_sensitivity_adversarial_pairs(self):
         # replacing one row moves tmean by <= 2B/m in general; for 0/1-valued
@@ -211,7 +232,7 @@ class TestProductModel:
     def test_chunked_draws_match_one_shot_reference(self, d):
         # the chunks read the stream one (n, d) draw reads, and leave it at
         # the same position
-        step = _SAMPLE_CHUNK // d
+        step = _BLOCK // d
         p = np.random.default_rng(d).uniform(size=d)
         p[0], p[-1] = 0.0, 1.0
         model = ProductModel(p)
