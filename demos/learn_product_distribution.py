@@ -11,7 +11,7 @@ import argparse
 import numpy as np
 
 from privest import NoiseSource, ppde, tv_product_exact
-from privest.product import ProductModel, num_rounds, sample_product
+from privest.product import TAU_1, U_1, ProductModel, num_rounds, sample_product
 
 parser = argparse.ArgumentParser()
 parser.add_argument("--rho", type=float, default=1.0)
@@ -24,14 +24,14 @@ p = np.array([0.4] * 4 + [0.05] * 4 + [1.0 / d] * 4)
 n = (num_rounds(d) + 1) * args.m
 
 x = sample_product(ProductModel(p), n, NoiseSource(1000 + args.seed))
-diag = {}
-model = ppde(x, args.rho, 0.15, 0.05, NoiseSource(args.seed), m=args.m,
-             diagnostics=diag)
+model = ppde(x, args.rho, 0.15, 0.05, NoiseSource(args.seed), m=args.m)
 
-for r in diag["rounds"]:
-    print(f"round {r.round}: active={len(r.active):2d} froze {len(r.frozen):2d} "
-          f"(u={r.u:.4f}, tau={r.tau:.4f}, B={r.B:.2f})")
+# round r's active coordinates froze in round r or later; u and tau halve each round
+froze_in = model.diagnostics["froze_in"]
+for r, b in enumerate(model.diagnostics["B"], start=1):
+    print(f"round {r}: active={(froze_in >= r).sum():2d} froze {(froze_in == r).sum():2d} "
+          f"(u={U_1 * 2.0 ** (1 - r):.4f}, tau={TAU_1 * 2.0 ** (1 - r):.4f}, B={b:.2f})")
 print("true p  ", np.round(p, 3))
 print("learned ", np.round(model.p, 3))
 print(f"exact TV = {tv_product_exact(p, model.p):.4f} "
-      f"(budget rho={diag['budget_spent'].rho:g})")
+      f"(budget rho={model.budget_spent.rho:g})")

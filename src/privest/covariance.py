@@ -292,21 +292,18 @@ def _clamped_moment(frame: _Frame, kappa: float, beta: float) -> tuple:
     return (*frame.moment(b_sq), b_sq, 2.0 * b_sq / frame.shape[0])
 
 
-def _noised_moment(x, rho: float, beta: float, kappa: float, noise: NoiseSource,
-                   diagnostics: Optional[dict]) -> np.ndarray:
-    """naive_pce before its PSD projection."""
+def _noised_moment(x, rho: float, beta: float, kappa: float,
+                   noise: NoiseSource) -> tuple[np.ndarray, dict]:
+    """naive_pce before its PSD projection, and its clamp and noise record."""
     frame = _frame(x)
     check(rho=rho, beta=beta, kappa=kappa)
     cov, kept, b_sq, delta_f = _clamped_moment(frame, kappa, beta)
     noisy = gaussian_mechanism_symmetric(cov, delta_f, rho, noise)
-    if diagnostics is not None:
-        diagnostics.update(kept=kept, dropped=frame.shape[0] - kept, clamp_threshold_sq=b_sq,
-                           noise_sigma=gaussian_sigma(delta_f, rho))
-    return noisy
+    return noisy, {"kept": kept, "dropped": frame.shape[0] - kept, "clamp_threshold_sq": b_sq,
+                   "noise_sigma": gaussian_sigma(delta_f, rho)}
 
 
-def naive_pce(x, rho: float, beta: float, kappa: float,
-              noise: NoiseSource, diagnostics: Optional[dict] = None) -> np.ndarray:
+def naive_pce(x, rho: float, beta: float, kappa: float, noise: NoiseSource) -> np.ndarray:
     """Clamp, average, noise, project: the basic private covariance estimator.
 
     Dropping rows over the clamp threshold bounds the Frobenius sensitivity
@@ -315,7 +312,7 @@ def naive_pce(x, rho: float, beta: float, kappa: float,
     array or a ``_Pairs``) or a ``_Frame`` of them, read at this clamp if this
     is the first moment asked of it.
     """
-    return project_psd(_noised_moment(x, rho, beta, kappa, noise, diagnostics))
+    return project_psd(_noised_moment(x, rho, beta, kappa, noise)[0])
 
 
 def _split_from_noisy_cov(z: np.ndarray, kappa: float) -> np.ndarray:
@@ -382,8 +379,7 @@ def pgce(x, rho: float, beta: float, kappa: float,
     check(rho=rho, beta=beta, kappa=kappa)
     kappa_eff = min(kappa, TARGET_KAPPA)
     pre = ppc(frame, rho / 2.0, beta / 2.0, kappa, noise)
-    diag: dict = {}
-    noisy = _noised_moment(frame, rho / 2.0, beta / 2.0, kappa_eff, noise, diag)
+    noisy, diag = _noised_moment(frame, rho / 2.0, beta / 2.0, kappa_eff, noise)
     b = frame.m_inv @ psd_factor(noisy)
     with np.errstate(over="ignore", invalid="ignore"):   # pgce_no_bound rejects inf
         sigma_hat = b @ b.T

@@ -167,27 +167,24 @@ def _truth_product(cfg: ExperimentConfig) -> np.ndarray:
 
 def learn_product_flip_heavy(x: np.ndarray, rho: float, alpha: float,
                              beta: float, noise: NoiseSource,
-                             m: Optional[int] = None,
-                             diagnostics: Optional[dict] = None) -> product.ProductModel:
+                             m: Optional[int] = None) -> product.ProductModel:
     """Bit-flip preprocessing for heavy coordinates, then the learner.
 
     A tenth of the budget votes per coordinate on whether the 1-frequency
     exceeds 1/2 (those columns are flipped and the estimate flipped back);
-    the learner runs with the remaining 9/10.
+    the learner runs with the remaining 9/10.  The model carries the whole
+    rho spent and, in ``ppde``'s record, the flipped columns ("flipped").
     """
     x = np.asarray(x)
-    d = x.shape[1]
-    vote_rho = rho / 10.0
-    h = histogram_zcdp(x, 0, 2, vote_rho / d, beta, noise)
-    flipped = np.flatnonzero(h.freqs[:, 1] > 0.5).tolist()
-    if flipped:  # flip a copy: the caller's keys stay as they are
+    h = histogram_zcdp(x, 0, 2, rho / 10.0 / x.shape[1], beta, noise)
+    flipped = np.flatnonzero(h.freqs[:, 1] > 0.5)
+    if flipped.size:  # flip a copy: the caller's keys stay as they are
         x = x.copy()
         x[:, flipped] = 1 - x[:, flipped]
-    model = product.ppde(x, 0.9 * rho, alpha, beta, noise, m=m,
-                         diagnostics=diagnostics)
+    model = product.ppde(x, 0.9 * rho, alpha, beta, noise, m=m)
     model.p[flipped] = 1.0 - model.p[flipped]
-    if diagnostics is not None:
-        diagnostics.update(flipped=flipped, budget_spent=PrivacyBudget.zcdp(rho))
+    model.budget_spent = PrivacyBudget.zcdp(rho)
+    model.diagnostics["flipped"] = flipped
     return model
 
 
@@ -252,10 +249,8 @@ def _run_trial(cfg: ExperimentConfig, seed: int, trial: int) -> dict:
         p = _truth_product(cfg)
         x = product.sample_product(product.ProductModel(p), cfg.n, data_src)
         learn = learn_product_flip_heavy if cfg.flip_heavy else product.ppde
-        diag: dict = {}
-        model = learn(x, cfg.rho, cfg.alpha, cfg.beta, mech_src, m=cfg.m,
-                      diagnostics=diag)
-        budget = diag["budget_spent"]
+        model = learn(x, cfg.rho, cfg.alpha, cfg.beta, mech_src, m=cfg.m)
+        budget = model.budget_spent
         met["sd-upper"] = metrics.product_sd_upper(p, model.p)
         if cfg.d <= 20:
             met["tv-exact"] = metrics.tv_product_exact(p, model.p)

@@ -10,6 +10,7 @@ from scipy.special import ndtr
 from .errors import InvalidInputError, InvalidParameterError, TooLargeError
 from .linalg import GaussianParams, mahalanobis_mat, mahalanobis_vec
 from .noise import NoiseSource
+from .product import _BLOCK
 
 _EXACT_TV_MAX_DIM = 20
 
@@ -88,17 +89,22 @@ def tv_product_exact(p: np.ndarray, q: np.ndarray) -> float:
 
 def tv_product_mc(p: np.ndarray, q: np.ndarray, trials: int,
                   noise: NoiseSource) -> tuple[float, float]:
-    """Monte Carlo TV estimate for product distributions of any dimension."""
+    """Monte Carlo TV estimate for product distributions of any dimension.
+
+    Trials are drawn and scored in blocks of about ``_BLOCK`` uniforms, which read
+    the stream as one (trials, d) draw would, and each is scored along its own row."""
     p = np.asarray(p, dtype=float).ravel()
     q = np.asarray(q, dtype=float).ravel()
     if trials < 2:
         raise InvalidParameterError("need at least 2 trials")
-    u = noise.uniform(size=(trials, p.shape[0]))
-    x = u < p
-    eps = 1e-300
-    logp = np.where(x, np.log(np.maximum(p, eps)), np.log(np.maximum(1 - p, eps))).sum(axis=1)
-    logq = np.where(x, np.log(np.maximum(q, eps)), np.log(np.maximum(1 - q, eps))).sum(axis=1)
-    vals = np.maximum(0.0, -np.expm1(np.minimum(logq - logp, 0.0)))
+    log_p1, log_p0 = np.log(np.maximum(p, 1e-300)), np.log(np.maximum(1 - p, 1e-300))
+    log_q1, log_q0 = np.log(np.maximum(q, 1e-300)), np.log(np.maximum(1 - q, 1e-300))
+    vals, step = np.empty(trials), max(1, _BLOCK // max(p.shape[0], 1))
+    for start in range(0, trials, step):
+        x = noise.uniform(size=(min(step, trials - start), p.shape[0])) < p
+        logp = np.where(x, log_p1, log_p0).sum(axis=1)
+        logq = np.where(x, log_q1, log_q0).sum(axis=1)
+        vals[start: start + len(x)] = np.maximum(0.0, -np.expm1(np.minimum(logq - logp, 0.0)))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
 
 

@@ -10,7 +10,7 @@ no composition: each individual's row is read by exactly one round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -31,9 +31,12 @@ _BLOCK = 1 << 13
 
 @dataclass
 class ProductModel:
-    """Per-coordinate Bernoulli means in [0,1]^d."""
+    """Per-coordinate Bernoulli means in [0,1]^d; a learner's model also
+    carries the budget it spent and its record (see ``ppde``)."""
 
     p: np.ndarray
+    budget_spent: Optional[PrivacyBudget] = None
+    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=float).ravel()
@@ -43,20 +46,6 @@ class ProductModel:
     @property
     def dim(self) -> int:
         return self.p.shape[0]
-
-
-@dataclass
-class RoundState:
-    """Per-round partitioning record."""
-
-    round: int
-    block: int
-    active: list
-    frozen: list
-    u: float
-    tau: float
-    B: float
-    rows: tuple  # [start, stop) row range read this round
 
 
 def tmean(x: np.ndarray, B: float, cols: Optional[np.ndarray] = None) -> np.ndarray:
@@ -69,7 +58,7 @@ def tmean(x: np.ndarray, B: float, cols: Optional[np.ndarray] = None) -> np.ndar
     and summed in blocks of ``_BLOCK`` values through one float buffer whose
     first row carries the running sums.  numpy's axis-0 sum adds row by row,
     so this is ``(x * scale[:, None]).mean(axis=0)`` bit for bit; one column
-    is one pairwise sum, so it is taken whole.
+    is one pairwise sum, so ``_column_sum`` splits it as numpy does.
     """
     if not B >= 0:
         raise InvalidParameterError(f"B must be >= 0, got {B}")
@@ -78,17 +67,33 @@ def tmean(x: np.ndarray, B: float, cols: Optional[np.ndarray] = None) -> np.ndar
     m, d = len(x), check_samples(x[:0, cols]).shape[1]
     if m == 0:
         raise EmptyInputError("tmean of zero rows")
-    step = m if d < 2 else max(1, _BLOCK // d)
+    step = max(1, _BLOCK // d)
     buf = np.empty((min(step, m) + 1, d))
     with np.errstate(all="ignore"):  # fmin drops the NaN of 0/0 and B/NaN
+        if d == 1:
+            return _column_sum(x, cols, B, buf, 0, m) / m
         for start in range(0, m, step):
             lo = 1 if start else 0  # the first block has no running sum yet
-            rows = buf[lo: lo + min(step, m - start)]
-            rows[...] = x[start: start + step, cols]
-            norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
-            rows *= np.fmin(1.0, B / norms)[:, None]
+            rows = _truncated(x, cols, B, buf[lo: lo + min(step, m - start)], start)
             np.add.reduce(buf[:lo + len(rows)], axis=0, out=buf[0])
     return buf[0] / m
+
+
+def _truncated(x: np.ndarray, cols, B: float, rows: np.ndarray, start: int) -> np.ndarray:
+    """``rows``, filled from row ``start`` of ``x[:, cols]``, truncated to radius B."""
+    rows[...] = x[start: start + len(rows), cols]
+    rows *= np.fmin(1.0, B / np.sqrt(np.add.reduce(rows * rows, axis=1)))[:, None]
+    return rows
+
+
+def _column_sum(x: np.ndarray, cols, B: float, buf: np.ndarray, start: int, count: int):
+    """The truncated sum of rows [start, start + count) of one column, split as numpy's
+    pairwise sum splits (halves cut to a multiple of 8) until numpy can sum a part in ``buf``."""
+    if count < len(buf):
+        return np.add.reduce(_truncated(x, cols, B, buf[:count], start), axis=0)
+    half = count // 2 - count // 2 % 8
+    return (_column_sum(x, cols, B, buf, start, half)
+            + _column_sum(x, cols, B, buf, start + half, count - half))
 
 
 def required_block_size(d: int, rho: float, alpha: float, beta: float,
@@ -111,8 +116,7 @@ def num_rounds(d: int) -> int:
 
 
 def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
-         noise: NoiseSource, m: Optional[int] = None,
-         diagnostics: Optional[dict] = None) -> ProductModel:
+         noise: NoiseSource, m: Optional[int] = None) -> ProductModel:
     """Private product-distribution estimation by recursive partitioning.
 
     Rows must be 0/1 in any dtype; integers are checked in their own dtype.
@@ -130,8 +134,10 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
     sqrt(2)*B_r apart, and replacing one row moves the block's truncated
     mean by at most that over m.
 
-    Only a ``diagnostics`` dict gets the per-round ``RoundState`` records
-    (under "rounds"); without one, none are built.
+    The model carries ``budget_spent`` (rho-zCDP: each row is read by one
+    round) and the record {"m", "froze_in": the round each coordinate froze
+    in, "B": each round's radius}.  Round r read rows [(r-1)m, rm), with the
+    coordinates of froze_in >= r active, at u_r = U_1 * 2^(1-r).
     """
     check(rho=rho, alpha=alpha, beta=beta)
     if m is not None and not (isinstance(m, (int, np.integer)) and m >= 1):
@@ -151,10 +157,9 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
         raise InsufficientSamplesError((r_max + 1) * m, n,
                                        f"{r_max + 1} blocks of {m}")
 
-    q = np.zeros(d)
+    q, froze_in = np.zeros(d), np.zeros(d, dtype=np.intp)
     active = np.arange(d)
-    u, tau = U_1, TAU_1
-    rounds: list[RoundState] = []
+    u, tau, radii = U_1, TAU_1, []
     for r in range(1, r_max + 2):
         if len(active) == 0:
             break
@@ -165,19 +170,15 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
         noisy = gaussian_mechanism_vector(tmean(x[(r - 1) * m: r * m], b_r, active),
                                           math.sqrt(2.0) * b_r / m, rho, noise)
         freeze = np.ones(len(active), bool) if last else noisy >= tau
-        q[active[freeze]] = noisy[freeze]
-        if diagnostics is not None:
-            rounds.append(RoundState(
-                round=r, block=r - 1, active=active.tolist(),
-                frozen=active[freeze].tolist(), u=u, tau=tau, B=b_r,
-                rows=((r - 1) * m, r * m)))
+        frozen = active[freeze]
+        q[frozen], froze_in[frozen] = noisy[freeze], r
+        radii.append(b_r)
         if last:
             break
         active, u, tau = active[~freeze], u / 2.0, tau / 2.0
 
-    if diagnostics is not None:
-        diagnostics.update(rounds=rounds, m=m, budget_spent=PrivacyBudget.zcdp(rho))
-    return ProductModel(p=np.clip(q, 0.0, 1.0))
+    return ProductModel(p=np.clip(q, 0.0, 1.0), budget_spent=PrivacyBudget.zcdp(rho),
+                        diagnostics={"m": m, "froze_in": froze_in, "B": np.array(radii)})
 
 
 def sample_product(model: ProductModel, n: int, noise: NoiseSource) -> np.ndarray:

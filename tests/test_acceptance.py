@@ -257,9 +257,7 @@ def test_criterion_09_budget_ledger():
     ok &= c_est.budget_spent.rho == rho / 2.0
     ok &= m_est.budget_spent.rho + c_est.budget_spent.rho == rho
     xp = sample_product(ProductModel(np.full(4, 0.2)), 1500, NoiseSource(93))
-    diag: dict = {}
-    ppde(xp, rho, 0.2, 0.05, NoiseSource(0), m=500, diagnostics=diag)
-    ok &= diag["budget_spent"].rho == rho
+    ok &= ppde(xp, rho, 0.2, 0.05, NoiseSource(0), m=500).budget_spent.rho == rho
     _verdict("criterion-09 budget-ledger", ok)
 
 

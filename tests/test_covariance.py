@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from privest import covariance
 from privest.covariance import (ROUND_SCALE, ROUND_SHRINK, TARGET_KAPPA,
-                                _Frame, _Pairs, clamp_threshold_sq,
+                                _Frame, _Pairs, _noised_moment, clamp_threshold_sq,
                                 clamped_covariance, naive_pce, pgce, ppc,
                                 weak_ppc)
 from privest.errors import EmptyInputError, InvalidParameterError, PrivestError
@@ -73,10 +73,9 @@ class TestNaivePce:
         big[0] = math.sqrt(b_sq) * 2.0
         keepable = np.array([1.0, 0.5])
         x = np.vstack([big, keepable])
-        diag = {}
-        out = naive_pce(x, 1.0, beta, kappa, NoiseSource.zero(),
-                        diagnostics=diag)
-        assert diag["dropped"] == 1
+        out = naive_pce(x, 1.0, beta, kappa, NoiseSource.zero())
+        _, rec = _noised_moment(x, 1.0, beta, kappa, NoiseSource.zero())
+        assert rec["dropped"] == 1 and rec["kept"] == 1
         assert np.allclose(out, np.outer(keepable, keepable) / 2.0, atol=1e-12)
 
     def test_output_psd_and_symmetric(self):

@@ -509,3 +509,31 @@ def test_estimate_is_psd_on_ill_conditioned_maps(data_seed, noise_seed):
     x = rng.standard_normal((200_000, d)) @ np.linalg.cholesky(cov).T
     sigma = pgce_no_bound(x, 1.0, 1e-7, 0.05, NoiseSource(noise_seed)).sigma_hat
     assert np.linalg.eigvalsh(sigma)[0] >= -1e-6
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, 1e150, 1e300])
+@pytest.mark.parametrize("share", ["row", "tenth"])
+@pytest.mark.parametrize("spectrum", ["geometric", "flat"])
+@pytest.mark.parametrize("name", ["ppc_range", "pgce_no_bound"])
+def test_bad_rows_give_a_finite_map_and_psd_covariance_or_an_error(name, spectrum, share, value):
+    # row 7, or every tenth row, is replaced; the map must stay finite and the
+    # estimate finite, exactly symmetric and PSD up to rounding, or the run
+    # must refuse
+    spec = np.geomspace(1.0, 1e4, 4) if spectrum == "geometric" else np.full(4, 1e4)
+    x = NoiseSource(30).gaussian(1.0, size=(40_000, 4)) * np.sqrt(spec)
+    x[7 if share == "row" else slice(None, None, 10)] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            if name == "ppc_range":
+                pre = ppc_range(x, 1.0, 1e-6, 0.05, NoiseSource(31))
+            else:
+                sigma = pgce_no_bound(x, 1.0, 1e-6, 0.05, NoiseSource(31)).sigma_hat
+        except PrivestError:
+            return
+    if name == "ppc_range":
+        assert np.all(np.isfinite(pre.A)) and np.all(np.isfinite(pre.A_inv))
+        return
+    assert np.all(np.isfinite(sigma))
+    assert np.array_equal(sigma, sigma.T)
+    assert np.linalg.eigvalsh(sigma).min() >= -1e-9 * max(1.0, np.abs(sigma).max())

@@ -15,6 +15,7 @@ from privest.harness import (CSV_COLUMNS, ExperimentConfig,
                              learn_product_flip_heavy, run_experiment,
                              write_report)
 from privest.noise import NoiseSource
+from privest.privacy import PrivacyBudget
 
 
 class TestExperimentConfig:
@@ -145,8 +146,7 @@ class TestRunExperiment:
     def test_product_path_working_set_does_not_grow_with_n(self, n):
         # the benchmark's flip-heavy model (d 12, m = n/4): past the int8
         # keys, sampling, the flip vote and ppde hold only fixed-size blocks
-        # (0.25 MiB measured); a copy of each round's block grows with m.
-        # No round here has one active column, which tmean sums whole
+        # (0.25 MiB measured); a copy of each round's block grows with m
         d = 12
         p = harness._truth_product(ExperimentConfig(task="product", rho=1.0, d=d))
         tracemalloc.start()
@@ -227,10 +227,8 @@ class TestFlipVote:
         return (rng.random((3 * self.M, self.P.size)) < self.P).astype(dtype)
 
     def learn(self, x, noise):
-        diag = {}
-        model = learn_product_flip_heavy(x, 1.0, 0.1, 0.05, noise, m=self.M,
-                                         diagnostics=diag)
-        return diag["flipped"], model.p
+        model = learn_product_flip_heavy(x, 1.0, 0.1, 0.05, noise, m=self.M)
+        return model.diagnostics["flipped"].tolist(), model.p
 
     @pytest.mark.parametrize("seed, flipped, p", [
         (1, [0, 1, 3, 5], [0.893831059079923, 0.5996879544491274,
@@ -244,10 +242,13 @@ class TestFlipVote:
                            0.09957050608923505, 0.7612042358085664]),
     ])
     def test_pinned_outputs(self, seed, flipped, p):
-        got_flipped, got_p = self.learn(self.rows(seed), NoiseSource(seed + 10))
-        assert got_flipped == flipped
-        assert all(type(j) is int for j in got_flipped)
-        assert got_p.tolist() == p
+        model = learn_product_flip_heavy(self.rows(seed), 1.0, 0.1, 0.05,
+                                         NoiseSource(seed + 10), m=self.M)
+        got_flipped = model.diagnostics["flipped"]
+        assert got_flipped.tolist() == flipped and got_flipped.dtype.kind == "i"
+        assert model.p.tolist() == p
+        assert model.budget_spent == PrivacyBudget.zcdp(1.0)
+        assert model.diagnostics["m"] == self.M
 
     def test_zero_noise_flips_columns_above_half(self):
         n = 3 * self.M

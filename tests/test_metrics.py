@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,17 @@ from privest.metrics import (chi2_kl_bernoulli, gaussian_param_error,
                              tv_gaussian_same_cov, tv_product_exact,
                              tv_product_mc)
 from privest.noise import NoiseSource
+
+
+def whole_array_tv_product_mc(p, q, trials, noise):
+    """tv_product_mc as one (trials, d) draw and whole-array scores."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    x = noise.uniform(size=(trials, p.shape[0])) < p
+    eps = 1e-300
+    logp = np.where(x, np.log(np.maximum(p, eps)), np.log(np.maximum(1 - p, eps))).sum(axis=1)
+    logq = np.where(x, np.log(np.maximum(q, eps)), np.log(np.maximum(1 - q, eps))).sum(axis=1)
+    vals = np.maximum(0.0, -np.expm1(np.minimum(logq - logp, 0.0)))
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
 
 
 class TestTvGaussianSameCov:
@@ -121,6 +133,33 @@ class TestTvProductExact:
         want = tv_product_exact(p, q)
         est, se = tv_product_mc(p, q, 60_000, NoiseSource(6))
         assert abs(est - want) <= 4.0 * max(se, 1e-4)
+
+    @pytest.mark.parametrize("d", [1, 5, 21, 48, 200, 9000])
+    @pytest.mark.parametrize("trials", [2, 171, 4000])
+    def test_mc_blocks_match_the_whole_array_formula(self, d, trials):
+        # the blocks read the stream one (trials, d) draw would, and each
+        # trial is scored along its own row: the same mean and stderr, and
+        # the stream ends where it would
+        rng = np.random.default_rng(d)
+        p = rng.uniform(size=d)
+        q = np.clip(p + rng.uniform(-0.1, 0.1, size=d), 0.0, 1.0)
+        p[0], q[-1] = 0.0, 1.0
+        got_src, want_src = NoiseSource(d + trials), NoiseSource(d + trials)
+        got = tv_product_mc(p, q, trials, got_src)
+        assert got == whole_array_tv_product_mc(p, q, trials, want_src)
+        assert got_src.uniform(size=2).tolist() == want_src.uniform(size=2).tolist()
+
+    def test_mc_peak_memory(self):
+        # the product task's 4000 trials at d 48 drew 3.3 MiB at once; in
+        # blocks only the trials' values are kept whole
+        p, q = np.full(48, 0.1), np.full(48, 0.12)
+        tracemalloc.start()
+        try:
+            tv_product_mc(p, q, 4000, NoiseSource(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 2**20
 
 
 class TestChi2KlBernoulli:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -8,8 +10,22 @@ from privest.errors import (EmptyInputError, InsufficientSamplesError,
                             InvalidParameterError)
 from privest.metrics import tv_product_exact
 from privest.noise import NoiseSource
-from privest.product import (_BLOCK, ProductModel, RoundState, num_rounds,
+from privest.product import (_BLOCK, TAU_1, U_1, ProductModel, num_rounds,
                              ppde, required_block_size, sample_product, tmean)
+
+Round = namedtuple("Round", "round active frozen u tau B rows")
+
+
+def rounds_of(model):
+    """Each round ppde ran, rebuilt from its record: round r's active
+    coordinates froze in round r or later, its frozen ones in round r."""
+    rec = model.diagnostics
+    m, froze_in = rec["m"], rec["froze_in"]
+    return [Round(round=r, active=np.flatnonzero(froze_in >= r).tolist(),
+                  frozen=np.flatnonzero(froze_in == r).tolist(),
+                  u=U_1 * 2.0 ** (1 - r), tau=TAU_1 * 2.0 ** (1 - r), B=b,
+                  rows=((r - 1) * m, r * m))
+            for r, b in enumerate(rec["B"].tolist(), start=1)]
 
 
 def trunc(x, B):
@@ -177,6 +193,36 @@ class TestTmean:
         with pytest.raises(IndexError):
             tmean(x, 1.0, [3])
 
+    @pytest.mark.parametrize("m", [7, 8, 9, 127, 128, 129, 2 * 128 + 8,
+                                   _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7,
+                                   5 * _BLOCK + 9])
+    def test_one_column_equals_the_whole_column_sum(self, m):
+        # one column is summed a leaf of at most _BLOCK rows at a time, split
+        # where numpy's pairwise sum splits (halves rounded down to a multiple
+        # of 8), so it is the whole column's sum bit for bit, signed zeros too
+        rng = np.random.default_rng(m)
+        columns = [(rng.random((m, 1)) < 0.3).astype(np.int8), rng.random((m, 1)) < 0.6,
+                   rng.normal(size=(m, 1)) * np.exp(5.0 * rng.normal(size=(m, 1))),
+                   np.full((m, 1), -0.0)]
+        for x in columns:
+            for b in (0.0, 0.3, 1.0, 7.5, math.inf):
+                assert tmean(x, b).tobytes() == whole_block_tmean(x, b).tobytes()
+                wide = np.repeat(x, 3, axis=1)
+                assert tmean(wide, b, [1]).tobytes() == whole_block_tmean(x, b).tobytes()
+
+    @pytest.mark.parametrize("m", [160_000, 640_000])
+    def test_one_column_peak_memory(self, m):
+        # ppde sums one column whenever one coordinate is left active; its
+        # truncated values pass through the one _BLOCK-row buffer
+        x = (np.random.default_rng(1).random((m, 1)) < 0.3).astype(np.int8)
+        tracemalloc.start()
+        try:
+            tmean(x, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * 2**20
+
     def test_sensitivity_adversarial_pairs(self):
         # replacing one row moves tmean by <= 2B/m in general; for 0/1-valued
         # rows (nonnegative orthant) the worst case is sqrt(2)*B/m
@@ -273,9 +319,8 @@ class TestRounds:
         m = required_block_size(1, 8.0, 0.5, 0.6, num_rounds(1))
         assert m == math.ceil(128.0 * math.log(1 / 0.6) ** 3 / 0.5 ** 2)
         x = sample_product(ProductModel(p=[0.3]), 1000, NoiseSource(1))
-        diag = {}
-        est = ppde(x, 8.0, 0.5, 0.6, NoiseSource(2), diagnostics=diag)
-        assert diag["rounds"][0].rows == (0, m)
+        est = ppde(x, 8.0, 0.5, 0.6, NoiseSource(2))
+        assert rounds_of(est)[0].rows == (0, m)
         assert 0.0 <= est.p[0] <= 1.0
 
 
@@ -285,15 +330,13 @@ class TestPpde:
         # coordinate 1 descends to the final round
         model = ProductModel(p=[0.4, 0.01])
         x = sample_product(model, 40_000, NoiseSource(2))
-        diag = {}
-        est = ppde(x, 1.0, 0.2, 0.05, NoiseSource.zero(), m=20_000,
-                   diagnostics=diag)
-        r1 = diag["rounds"][0]
+        est = ppde(x, 1.0, 0.2, 0.05, NoiseSource.zero(), m=20_000)
+        r1 = rounds_of(est)[0]
         assert r1.frozen == [0]
         assert r1.tau == pytest.approx(3.0 / 16.0)
         assert est.p[0] == pytest.approx(0.4, abs=0.02)
         assert est.p[1] == pytest.approx(0.01, abs=0.005)
-        final = diag["rounds"][-1]
+        final = rounds_of(est)[-1]
         assert final.active == [1]
 
     def test_noise_calibrated_to_binary_sensitivity(self):
@@ -309,10 +352,9 @@ class TestPpde:
         rho, m = 0.3, 500
         model = ProductModel(p=[0.4, 0.3, 0.1, 0.05, 0.02, 0.01, 0.2, 0.01])
         x = sample_product(model, 3 * m, NoiseSource(9))
-        diag = {}
-        ppde(x, rho, 0.2, 0.05, Recording(10), m=m, diagnostics=diag)
-        assert len(diag["rounds"]) == len(stds) >= 2
-        for r, std in zip(diag["rounds"], stds):
+        rounds = rounds_of(ppde(x, rho, 0.2, 0.05, Recording(10), m=m))
+        assert len(rounds) == len(stds) >= 2
+        for r, std in zip(rounds, stds):
             sensitivity = math.sqrt(2.0) * r.B / m
             assert std == pytest.approx(sensitivity / math.sqrt(2.0 * rho),
                                         rel=1e-12)
@@ -375,14 +417,6 @@ class TestPpde:
         got = ppde(x, 1.0, 0.2, 0.05, NoiseSource(0), m=np.int64(100)).p
         assert got.tolist() == ppde(x, 1.0, 0.2, 0.05, NoiseSource(0), m=100).p.tolist()
 
-    def test_output_does_not_depend_on_diagnostics(self):
-        x = bernoulli_rows([0.4, 0.3, 0.05, 0.01], 2, 50, 4)
-        diag = {}
-        want = ppde(x, 1.0, 0.2, 0.05, NoiseSource(5), m=50, diagnostics=diag)
-        got = ppde(x, 1.0, 0.2, 0.05, NoiseSource(5), m=50)
-        assert got.p.tolist() == want.p.tolist()
-        assert [r.round for r in diag["rounds"]] == [1, 2]
-
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamplesError):
             ppde(np.zeros((10, 8), dtype=int), 1.0, 0.2, 0.05, NoiseSource(0),
@@ -392,11 +426,7 @@ class TestPpde:
         # every row index is read by exactly one round
         model = ProductModel(p=[0.4, 0.1, 0.05, 0.3, 0.02, 0.25, 0.15, 0.01])
         x = sample_product(model, 6000, NoiseSource(3))
-        diag = {}
-        ppde(x, 1.0, 0.2, 0.05, NoiseSource(4), m=1500, diagnostics=diag)
-        seen = []
-        for r in diag["rounds"]:
-            seen.append(r.rows)
+        seen = [r.rows for r in rounds_of(ppde(x, 1.0, 0.2, 0.05, NoiseSource(4), m=1500))]
         starts = [a for a, _ in seen]
         stops = [b for _, b in seen]
         assert starts == sorted(starts)
@@ -407,9 +437,7 @@ class TestPpde:
     def test_state_transitions(self):
         model = ProductModel(p=[0.3] * 16)
         x = sample_product(model, 5000, NoiseSource(5))
-        diag = {}
-        ppde(x, 1.0, 0.2, 0.05, NoiseSource(6), m=1000, diagnostics=diag)
-        rounds = diag["rounds"]
+        rounds = rounds_of(ppde(x, 1.0, 0.2, 0.05, NoiseSource(6), m=1000))
         partition_rounds = rounds[:-1] if rounds[-1].frozen == rounds[-1].active else rounds
         for prev, cur in zip(partition_rounds, partition_rounds[1:]):
             assert cur.u == pytest.approx(prev.u / 2.0)
@@ -467,31 +495,30 @@ class TestPpdeRoundLoop:
     @pytest.mark.parametrize("p, seed, q, rounds", [
         # every coordinate clears tau in round 1: no round reads block 2
         ([0.5, 0.45, 0.6, 0.4], 1, [0.48, 0.46, 0.56, 0.4], [
-            RoundState(round=1, block=0, active=[0, 1, 2, 3],
-                       frozen=[0, 1, 2, 3], u=0.5, tau=0.1875,
-                       B=9.104562776310878, rows=(0, 50))]),
+            Round(round=1, active=[0, 1, 2, 3], frozen=[0, 1, 2, 3], u=0.5,
+                  tau=0.1875, B=9.104562776310878, rows=(0, 50))]),
         # d = 8 allows 2 rounds; one coordinate is left, and u * 1 < 1 ends
         # the partitioning before round 2
         ([0.4, 0.3, 0.5, 0.25, 0.35, 0.45, 0.3, 0.02], 2,
          [0.4, 0.44, 0.54, 0.26, 0.38, 0.48, 0.28, 0.02], [
-            RoundState(round=1, block=0, active=[0, 1, 2, 3, 4, 5, 6, 7],
-                       frozen=[0, 1, 2, 3, 4, 5, 6], u=0.5, tau=0.1875,
-                       B=13.506356245450139, rows=(0, 50)),
-            RoundState(round=2, block=1, active=[7], frozen=[7], u=0.25,
-                       tau=0.09375, B=6.4378980788680416, rows=(50, 100))]),
+            Round(round=1, active=[0, 1, 2, 3, 4, 5, 6, 7],
+                  frozen=[0, 1, 2, 3, 4, 5, 6], u=0.5, tau=0.1875,
+                  B=13.506356245450139, rows=(0, 50)),
+            Round(round=2, active=[7], frozen=[7], u=0.25,
+                  tau=0.09375, B=6.4378980788680416, rows=(50, 100))]),
         # nothing freezes and d = 4 allows one round: r > r_max ends it
         ([0.05, 0.02, 0.1, 0.01], 3, [0.14, 0.02, 0.12, 0.0], [
-            RoundState(round=1, block=0, active=[0, 1, 2, 3], frozen=[],
-                       u=0.5, tau=0.1875, B=9.104562776310878, rows=(0, 50)),
-            RoundState(round=2, block=1, active=[0, 1, 2, 3],
-                       frozen=[0, 1, 2, 3], u=0.25, tau=0.09375,
-                       B=6.4378980788680416, rows=(50, 100))]),
+            Round(round=1, active=[0, 1, 2, 3], frozen=[],
+                  u=0.5, tau=0.1875, B=9.104562776310878, rows=(0, 50)),
+            Round(round=2, active=[0, 1, 2, 3], frozen=[0, 1, 2, 3], u=0.25,
+                  tau=0.09375, B=6.4378980788680416, rows=(50, 100))]),
     ], ids=["all-frozen", "u-times-active-below-1", "rounds-exhausted"])
     def test_pinned_rounds(self, p, seed, q, rounds):
-        diag = {}
         est = ppde(bernoulli_rows(p, 3, 50, seed), 1.0, 0.2, 0.05,
-                   NoiseSource.zero(), m=50, diagnostics=diag)
+                   NoiseSource.zero(), m=50)
         assert est.p.tolist() == q
-        assert diag["rounds"] == rounds
-        for r in diag["rounds"]:
-            assert all(type(j) is int for j in r.active + r.frozen)
+        assert rounds_of(est) == rounds
+        rec = est.diagnostics
+        assert rec["m"] == 50 and est.budget_spent.rho == 1.0
+        assert rec["froze_in"].dtype.kind == "i" and rec["froze_in"].shape == (len(p),)
+        assert rec["B"].dtype == float and rec["B"].shape == (len(rounds),)

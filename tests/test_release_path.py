@@ -125,16 +125,16 @@ class TestProductLearners:
         # coordinates set.  Truncated, the two rows below are orthogonal
         # with norm B, sqrt(2)*B apart: the sensitivity bound is tight.
         d, m = 128, 50
-        diag = {}
         x = np.zeros((7 * m, d), dtype=np.int8)
-        product.ppde(x, 0.9, 0.2, 0.05, NoiseSource.zero(), m=m, diagnostics=diag)
-        final = diag["rounds"][-1]
-        half = len(final.active) // 2
-        assert half >= final.B ** 2
-        row = final.rows[0]
-        x[row, final.active[:half]] = 1
+        rec = product.ppde(x, 0.9, 0.2, 0.05, NoiseSource.zero(), m=m).diagnostics
+        last = len(rec["B"])   # the final sweep releases every coordinate still active
+        active = np.flatnonzero(rec["froze_in"] == last)
+        half = len(active) // 2
+        assert half >= rec["B"][-1] ** 2
+        row = (last - 1) * m
+        x[row, active[:half]] = 1
         y = replaced(x, row, 0)
-        y[row, final.active[half:2 * half]] = 1
+        y[row, active[half:2 * half]] = 1
         assert_neighbours_within_sensitivity(
             monkeypatch, lambda rows: estimate(rows, m), x, y)
 
