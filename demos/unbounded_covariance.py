@@ -10,13 +10,15 @@ import numpy as np
 
 from privest import (GaussianParams, NoiseSource, mahalanobis_mat,
                      p_estimate_trace, pgce_no_bound, sample_gaussian)
+from privest.errors import EstimationFailedError
 
 # trace vote on an isotropic Gaussian
 d = 16
 x = sample_gaussian(GaussianParams(np.zeros(d), np.eye(d)), 5000,
                     NoiseSource(0))
-est = p_estimate_trace(x, 1.0, 1e-5, 0.05, NoiseSource(1))
-if est is None:
+try:
+    est = p_estimate_trace(x, 1.0, 1e-5, 0.05, NoiseSource(1))
+except EstimationFailedError:
     print("trace vote: no heavy bucket (bottom)")
 else:
     lo, hi = est.certificate

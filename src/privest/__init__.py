@@ -13,9 +13,8 @@ Highlights:
 """
 
 from .noise import NoiseSource
-from .privacy import (PrivacyBudget, compose_approx_dp,
-                      gaussian_mechanism_symmetric, gaussian_mechanism_vector,
-                      zcdp_to_approx_dp)
+from .privacy import (PrivacyBudget, gaussian_mechanism_symmetric,
+                      gaussian_mechanism_vector, zcdp_to_approx_dp)
 from .linalg import (GaussianParams, inv_sqrt_psd, mahalanobis_mat,
                      mahalanobis_vec, project_psd, sample_gaussian)
 from .histogram import (HistogramResult, argmax_bucket, histogram_zcdp,
@@ -37,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "NoiseSource", "PrivacyBudget", "zcdp_to_approx_dp",
-    "compose_approx_dp", "gaussian_mechanism_vector",
+    "gaussian_mechanism_vector",
     "gaussian_mechanism_symmetric", "GaussianParams", "project_psd",
     "mahalanobis_vec", "mahalanobis_mat", "sample_gaussian",
     "inv_sqrt_psd", "HistogramResult", "stable_histogram_approx_dp",

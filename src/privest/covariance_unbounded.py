@@ -12,14 +12,14 @@ pushes its factor onto its map, and ``pgce`` finishes on the same frame,
 so no sample is transformed and no inverse is taken densely.
 
 Privacy here is approximate (eps, delta)-DP: the norm vote uses the stable
-histogram, and the zCDP rounds are converted and composed per run.
+histogram, and the zCDP rounds are converted and added to the run's budget.
+A vote or sweep that releases nothing raises ``EstimationFailedError``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .covariance import (CovEstimate, Preconditioner, RoundRecord, _clamped_mome
 from .errors import EstimationFailedError, InvalidParameterError, check
 from .histogram import argmax_bucket, stable_histogram_approx_dp
 from .noise import NoiseSource
-from .privacy import (PrivacyBudget, compose_approx_dp, gaussian_sigma,
-                      sample_gue, zcdp_to_approx_dp)
+from .privacy import PrivacyBudget, gaussian_sigma, sample_gue, zcdp_to_approx_dp
 
 # Bucket base for the norm vote.  Needs C > 1 + 4*ln(10); 16 is the next
 # power of two, so bucket indices are exact in binary.
@@ -70,13 +69,13 @@ def _bucket_keys(norms: np.ndarray, r_min: int) -> np.ndarray:
 
 
 def p_estimate_trace(x, eps: float, delta: float, beta: float,
-                     noise: NoiseSource) -> Optional[TraceEstimate]:
+                     noise: NoiseSource) -> TraceEstimate:
     """Vote on the geometric bucket holding the typical squared sample norm.
 
     ``x`` is an array of samples or a ``_Frame``, whose rows vote with their
-    exact squared norms under its map, one key per row.  Returns None (the
-    bottom outcome) when no bucket collects a quarter of the mass; callers
-    must treat that as a privacy-preserving abort.
+    exact squared norms under its map, one key per row.  Raises
+    ``EstimationFailedError`` (the bottom outcome) when no released bucket
+    collects a quarter of the mass, an abort that reads only the release.
     """
     frame = _frame(x)
     d = frame.shape[1]
@@ -88,7 +87,7 @@ def p_estimate_trace(x, eps: float, delta: float, beta: float,
     hist.keys, hist.freqs = hist.keys[real], hist.freqs[real]
     best = argmax_bucket(hist, 0.25)
     if best is None:
-        return None
+        raise EstimationFailedError("trace vote returned bottom mid-run; rerun or raise n")
     with np.errstate(over="ignore"):  # BUCKET_BASE**256 is past the largest double
         t = float(np.float64(BUCKET_BASE) ** best)
     return TraceEstimate(T=t, C=BUCKET_BASE, r=best,
@@ -97,7 +96,7 @@ def p_estimate_trace(x, eps: float, delta: float, beta: float,
 
 def weak_ppc_no_bound(x, rho: float, beta: float,
                       interval: tuple[float, float],
-                      noise: NoiseSource) -> Optional[tuple]:
+                      noise: NoiseSource) -> tuple[np.ndarray, float]:
     """Sweep candidate bounds downward until a heavy subspace shows up.
 
     Tries kappa = b, b*(99/100), ... while kappa > a/2, each attempt a
@@ -106,8 +105,8 @@ def weak_ppc_no_bound(x, rho: float, beta: float,
     same cached second moment through the frame's map, which the first
     attempt's clamp, the loosest, extends; only the noise is redrawn.
     Returns the first (V, K) with non-empty V, whose factor (1/sqrt(K)) P_V
-    + P_Vperp the caller applies (``ppc_range`` pushes it onto its frame),
-    or None if the sweep exhausts.  ``x`` is an array of samples or a ``_Frame``.
+    + P_Vperp the caller applies (``ppc_range`` pushes it onto its frame);
+    an exhausted sweep raises.  ``x`` is an array of samples or a ``_Frame``.
     """
     frame = _frame(x)
     d = frame.shape[1]
@@ -128,7 +127,7 @@ def weak_ppc_no_bound(x, rho: float, beta: float,
         if v.shape[1] > 0:
             return v, kappa / d ** 2
         kappa *= SWEEP_SHRINK
-    return None
+    raise EstimationFailedError("no heavy subspace found in the certified interval")
 
 
 def ppc_range(x, eps: float, delta: float, beta: float,
@@ -140,7 +139,8 @@ def ppc_range(x, eps: float, delta: float, beta: float,
     one-step preconditioner; rounds stop when the interval floor falls
     below 40*d^3, certifying the spectrum under kappa* = 40*Xi*d^4 for the
     returned A = 2 * (product of round factors).  ``x`` is an array of
-    samples or a ``_Frame``, onto which the factors are pushed.
+    samples or a ``_Frame``, onto which the factors are pushed.  The spent
+    budget adds the votes' and sweeps' costs in the order they ran.
     """
     check(eps=eps, delta=delta, beta=beta)
     frame = _frame(x)
@@ -151,14 +151,11 @@ def ppc_range(x, eps: float, delta: float, beta: float,
     beta_r = beta / d
 
     log: list[RoundRecord] = []
-    spent: list[tuple[float, float]] = []
+    spent = PrivacyBudget.approx(0.0, 0.0)
     dims_seen = 0
     for _ in range(d):
         est = p_estimate_trace(frame, eps_r, delta_r, beta_r, noise)
-        spent.append((eps_r, delta_r))
-        if est is None:
-            raise EstimationFailedError(
-                "trace vote returned bottom mid-run; rerun or raise n")
+        spent += PrivacyBudget.approx(eps_r, delta_r)
         a_j = XI * est.T
         b_j = BIG_XI * d * est.T
         if not math.isfinite(b_j):  # a_j <= b_j; reads only the released vote
@@ -166,12 +163,8 @@ def ppc_range(x, eps: float, delta: float, beta: float,
                 f"trace vote's interval [{a_j}, {b_j}] is not finite; rescale the rows")
         if a_j < FLOOR_COEFF * d ** 3:
             break
-        out = weak_ppc_no_bound(frame, rho_r, beta_r, (a_j, b_j), noise)
-        spent.append(zcdp_to_approx_dp(rho_r, delta_r))
-        if out is None:
-            raise EstimationFailedError(
-                "no heavy subspace found in the certified interval")
-        v, k = out
+        v, k = weak_ppc_no_bound(frame, rho_r, beta_r, (a_j, b_j), noise)
+        spent += PrivacyBudget.approx(*zcdp_to_approx_dp(rho_r, delta_r))
         frame.push(v, k, 1.0)
         dims_seen += v.shape[1]
         log.append(RoundRecord(kappa=b_j, threshold=a_j,
@@ -179,9 +172,7 @@ def ppc_range(x, eps: float, delta: float, beta: float,
         if dims_seen >= d:
             break
     frame.push(np.zeros((d, 0)), 1.0, 2.0)
-    eps_spent, delta_spent = compose_approx_dp(spent)
-    return Preconditioner(A=frame.m, A_inv=frame.m_inv, round_log=log,
-                          budget_spent=PrivacyBudget.approx(eps_spent, delta_spent),
+    return Preconditioner(A=frame.m, A_inv=frame.m_inv, round_log=log, budget_spent=spent,
                           kappa_star=FLOOR_COEFF * BIG_XI * d ** 4)
 
 
@@ -200,10 +191,7 @@ def pgce_no_bound(x, eps: float, delta: float, beta: float,
     if not np.isfinite(inner.sigma_hat).all():  # post-processing of the release
         raise EstimationFailedError(
             "covariance estimate overflowed to a non-finite value; rescale the rows")
-    eps_spent, delta_spent = compose_approx_dp(
-        [(pre.budget_spent.eps, pre.budget_spent.delta),
-         zcdp_to_approx_dp(rho, delta)])
-    return CovEstimate(sigma_hat=inner.sigma_hat,
-                       budget_spent=PrivacyBudget.approx(eps_spent, delta_spent),
+    spent = pre.budget_spent + PrivacyBudget.approx(*zcdp_to_approx_dp(rho, delta))
+    return CovEstimate(sigma_hat=inner.sigma_hat, budget_spent=spent,
                        diagnostics={**inner.diagnostics, "preconditioner_rounds": pre.round_log,
                                     "kappa_star": pre.kappa_star})

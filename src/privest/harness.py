@@ -174,14 +174,18 @@ def learn_product_flip_heavy(x: np.ndarray, rho: float, alpha: float,
     exceeds 1/2 (those columns are flipped and the estimate flipped back);
     the learner runs with the remaining 9/10.  The model carries the whole
     rho spent and, in ``ppde``'s record, the flipped columns ("flipped").
+    Rows are 0/1 in any dtype, as for ``ppde``; bools vote through a uint8
+    view and floats through one int8 copy.
     """
-    x = np.asarray(x)
-    h = histogram_zcdp(x, 0, 2, rho / 10.0 / x.shape[1], beta, noise)
+    x = product.check_binary(x)
+    keys = (x.view(np.uint8) if x.dtype == bool else
+            x.astype(np.int8) if x.dtype.kind == "f" else x)
+    h = histogram_zcdp(keys, 0, 2, rho / 10.0 / x.shape[1], beta, noise)
     flipped = np.flatnonzero(h.freqs[:, 1] > 0.5)
     if flipped.size:  # flip a copy: the caller's keys stay as they are
-        x = x.copy()
-        x[:, flipped] = 1 - x[:, flipped]
-    model = product.ppde(x, 0.9 * rho, alpha, beta, noise, m=m)
+        keys = keys.copy() if np.may_share_memory(keys, x) else keys
+        keys[:, flipped] = 1 - keys[:, flipped]
+    model = product.ppde(keys, 0.9 * rho, alpha, beta, noise, m=m)
     model.p[flipped] = 1.0 - model.p[flipped]
     model.budget_spent = PrivacyBudget.zcdp(rho)
     model.diagnostics["flipped"] = flipped
@@ -232,8 +236,7 @@ def _run_trial(cfg: ExperimentConfig, seed: int, trial: int) -> dict:
         else:
             m_est, c_est = mean.learn_gaussian(x, cfg.rho, cfg.alpha, cfg.beta,
                                                cfg.R, cfg.kappa, mech_src)
-            budget = PrivacyBudget.zcdp(
-                m_est.budget_spent.rho + c_est.budget_spent.rho)
+            budget = m_est.budget_spent + c_est.budget_spent
         met["aborted"] = float(m_est.aborted)
         if not m_est.aborted:
             met["mahalanobis-mean"] = metrics.mahalanobis_vec(

@@ -1,8 +1,8 @@
 """Privacy budgets in two regimes and the one Gaussian mechanism.
 
 Budgets are rho-zCDP or approximate (epsilon, delta)-DP; zCDP converts to
-approximate DP, and approximate budgets compose basically (both parameters
-add).  Every Gaussian release in the library is calibrated here, by
+approximate DP, and budgets of one regime compose sequentially with ``+``.
+Every Gaussian release in the library is calibrated here, by
 ``gaussian_sigma``: noise with standard deviation sensitivity / sqrt(2 * rho)
 on a statistic of l2-sensitivity ``sensitivity`` satisfies rho-zCDP (Bun and
 Steinke 2016).
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -53,6 +53,17 @@ class PrivacyBudget:
     def approx(cls, eps: float, delta: float) -> "PrivacyBudget":
         return cls(regime="approx", eps=float(eps), delta=float(delta))
 
+    def __add__(self, other: "PrivacyBudget") -> "PrivacyBudget":
+        """Sequential composition within one regime: rho adds, or eps and delta add."""
+        if not isinstance(other, PrivacyBudget):
+            return NotImplemented
+        if self.regime != other.regime:
+            raise InvalidParameterError(
+                f"cannot compose a {self.regime} budget with a {other.regime} one")
+        if self.regime == "zcdp":
+            return PrivacyBudget.zcdp(self.rho + other.rho)
+        return PrivacyBudget.approx(self.eps + other.eps, self.delta + other.delta)
+
     def as_dict(self) -> dict:
         out = {"regime": self.regime}
         for k in ("rho", "eps", "delta"):
@@ -69,15 +80,6 @@ def zcdp_to_approx_dp(rho: float, delta: float) -> tuple[float, float]:
     check(delta=delta)
     eps = rho + 2.0 * math.sqrt(rho * math.log(1.0 / delta))
     return eps, delta
-
-
-def compose_approx_dp(budgets: Iterable[tuple[float, float]]) -> tuple[float, float]:
-    """Basic composition of (eps, delta) pairs: (sum eps_t, sum delta_t)."""
-    budgets = list(budgets)
-    for e, d in budgets:
-        if e < 0 or not (0 <= d < 1):
-            raise InvalidParameterError(f"bad (eps, delta) = ({e}, {d})")
-    return (sum(e for e, _ in budgets), sum(d for _, d in budgets))
 
 
 def gaussian_sigma(sensitivity: float, rho: float) -> float:

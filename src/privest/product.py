@@ -115,11 +115,24 @@ def num_rounds(d: int) -> int:
     return max(1, math.ceil(math.log2(d / 2.0)))
 
 
+def check_binary(x) -> np.ndarray:
+    """``x`` as an array if it holds 2-d 0/1 rows in any dtype; integers are
+    compared in their own dtype (one min/max pass) and bools not at all."""
+    x = check_samples(np.asarray(x))
+    if x.dtype.kind in "iu":
+        binary = x.min(initial=0) >= 0 and x.max(initial=0) <= 1
+    else:
+        binary = x.dtype == bool or ((x == 0) | (x == 1)).all()
+    if not binary:
+        raise InvalidParameterError("data must be 0/1 valued")
+    return x
+
+
 def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
          noise: NoiseSource, m: Optional[int] = None) -> ProductModel:
     """Private product-distribution estimation by recursive partitioning.
 
-    Rows must be 0/1 in any dtype; integers are checked in their own dtype.
+    Rows must be 0/1 in any dtype (``check_binary``).
     The data splits into R+1 disjoint blocks of m rows (an explicit m must
     be an integer >= 1, numpy integers included).  Each round reads one
     block in place: it takes a truncated mean of the active coordinates
@@ -142,13 +155,7 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
     check(rho=rho, alpha=alpha, beta=beta)
     if m is not None and not (isinstance(m, (int, np.integer)) and m >= 1):
         raise InvalidParameterError(f"m must be an integer >= 1, got {m!r}")
-    x = check_samples(np.asarray(x))
-    if x.dtype.kind in "iu":  # integers are compared in their own dtype
-        binary = x.min(initial=0) >= 0 and x.max(initial=0) <= 1
-    else:  # bools need no check
-        binary = x.dtype == bool or ((x == 0) | (x == 1)).all()
-    if not binary:
-        raise InvalidParameterError("data must be 0/1 valued")
+    x = check_binary(x)
     n, d = x.shape
     r_max = num_rounds(d)
     if m is None:

@@ -13,6 +13,7 @@ from scipy.special import ndtri
 from privest.attacks import run_tracing_attack
 from privest.covariance import clamped_covariance, pgce, ppc
 from privest.covariance_unbounded import p_estimate_trace, pgce_no_bound
+from privest.errors import EstimationFailedError
 from privest.linalg import GaussianParams, mahalanobis_mat, sample_gaussian
 from privest.mean import learn_gaussian, naive_pme, pme, univariate_mean
 from privest.metrics import (chi2_kl_bernoulli, tv_gaussian_mc,
@@ -199,8 +200,9 @@ def test_criterion_06_trace_estimator_band():
     good = bottom = 0
     for seed in range(20):
         x = sample_gaussian(truth, n, NoiseSource(6000 + seed))
-        est = p_estimate_trace(x, 1.0, 1e-5, 0.05, NoiseSource(seed))
-        if est is None:
+        try:
+            est = p_estimate_trace(x, 1.0, 1e-5, 0.05, NoiseSource(seed))
+        except EstimationFailedError:  # the bottom outcome
             bottom += 1
             continue
         good += est.T / est.C <= d <= est.C * est.T

@@ -284,6 +284,19 @@ class TestFlipVote:
         assert np.array_equal(got[:, flipped], 1 - before[:, flipped])
         assert np.array_equal(got[:, kept], before[:, kept])
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, bool,
+                                       np.float32, np.float64])
+    def test_accepts_the_rows_ppde_accepts(self, dtype):
+        # bools vote through a uint8 view and floats through an int8 copy;
+        # a flipped column is flipped in a copy, never in the caller's rows
+        want_flipped, want_p = self.learn(self.rows(4), NoiseSource(14))
+        x = self.rows(4).astype(dtype)
+        before = x.copy()
+        flipped, p = self.learn(x, NoiseSource(14))
+        assert want_flipped and flipped == want_flipped
+        assert p.tolist() == want_p.tolist()
+        assert x.dtype == before.dtype and np.array_equal(x, before)
+
     def test_key_dtype_does_not_change_the_model(self):
         want_flipped, want_p = self.learn(self.rows(4), NoiseSource(14))
         flipped, p = self.learn(self.rows(4, np.int64), NoiseSource(14))

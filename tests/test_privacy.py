@@ -6,8 +6,7 @@ import pytest
 from privest import covariance, covariance_unbounded, histogram, mean, product
 from privest.errors import InvalidInputError, InvalidParameterError
 from privest.noise import NoiseSource
-from privest.privacy import (PrivacyBudget, compose_approx_dp,
-                             gaussian_mechanism_symmetric,
+from privest.privacy import (PrivacyBudget, gaussian_mechanism_symmetric,
                              gaussian_mechanism_vector, gaussian_sigma,
                              sample_gue, zcdp_to_approx_dp)
 
@@ -51,15 +50,39 @@ class TestConversions:
 
 
 class TestComposeApprox:
+    """Sequential composition is ``+`` on budgets of one regime."""
+
     def test_basic(self):
-        assert compose_approx_dp([(1.0, 1e-6), (0.5, 1e-6)]) == \
-            pytest.approx((1.5, 2e-6))
-        assert compose_approx_dp([]) == (0.0, 0.0)
+        b = PrivacyBudget.approx(1.0, 1e-6) + PrivacyBudget.approx(0.5, 1e-6)
+        assert (b.eps, b.delta) == pytest.approx((1.5, 2e-6))
+        zero = PrivacyBudget.approx(0, 0)
+        assert zero + PrivacyBudget.approx(0.25, 1e-7) == PrivacyBudget.approx(0.25, 1e-7)
+
+    def test_zcdp_budgets_add(self):
+        assert PrivacyBudget.zcdp(0.25) + PrivacyBudget.zcdp(0.5) == PrivacyBudget.zcdp(0.75)
+
+    def test_adds_in_order(self):
+        # a running sum from approx(0, 0) adds as a left fold over the pairs
+        pairs = [(0.1, 1e-7), (0.2, 3e-7), (0.7, 1e-9), (1e-17, 0.0)]
+        spent = PrivacyBudget.approx(0, 0)
+        for e, d in pairs:
+            spent += PrivacyBudget.approx(e, d)
+        assert (spent.eps, spent.delta) == (sum(e for e, _ in pairs), sum(d for _, d in pairs))
 
     @pytest.mark.parametrize("pair", [(-0.1, 0.0), (1.0, -1e-9), (1.0, 1.0)])
     def test_rejects_bad_pair(self, pair):
         with pytest.raises(InvalidParameterError):
-            compose_approx_dp([(1.0, 1e-6), pair])
+            PrivacyBudget.approx(1.0, 1e-6) + PrivacyBudget.approx(*pair)
+
+    def test_rejects_a_sum_past_the_domain(self):
+        with pytest.raises(InvalidParameterError):
+            PrivacyBudget.approx(1.0, 0.6) + PrivacyBudget.approx(1.0, 0.6)
+
+    def test_rejects_mixed_regimes(self):
+        with pytest.raises(InvalidParameterError):
+            PrivacyBudget.zcdp(0.5) + PrivacyBudget.approx(1.0, 1e-6)
+        with pytest.raises(TypeError):
+            PrivacyBudget.zcdp(0.5) + 0.5
 
 
 class TestGaussianSigma:

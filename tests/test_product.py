@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from collections import namedtuple
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from privest.errors import (EmptyInputError, InsufficientSamplesError,
-                            InvalidParameterError)
+                            InvalidParameterError, PrivestError)
+from privest.harness import learn_product_flip_heavy
 from privest.metrics import tv_product_exact
 from privest.noise import NoiseSource
 from privest.product import (_BLOCK, TAU_1, U_1, ProductModel, num_rounds,
@@ -522,3 +524,27 @@ class TestPpdeRoundLoop:
         assert rec["m"] == 50 and est.budget_spent.rho == 1.0
         assert rec["froze_in"].dtype.kind == "i" and rec["froze_in"].shape == (len(p),)
         assert rec["B"].dtype == float and rec["B"].shape == (len(rounds),)
+
+
+class TestBadRows:
+    """Both product learners on rows that are not 0/1: NaN, +-inf, 2, -1 or
+    0.5 in row 7 or in every tenth row, as float rows and, where the value
+    fits, as int8 rows.  Each case raises a library error before any draw."""
+
+    LEARNERS = {"ppde": ppde, "flip-heavy": learn_product_flip_heavy}
+    M = 200
+    CASES = [(dtype, value, where) for value in (math.nan, math.inf, -math.inf, 2, -1, 0.5)
+             for dtype in (np.float64, np.int8) if dtype is np.float64 or value in (2, -1)
+             for where in ("row 7", "every tenth row")]
+
+    @pytest.mark.parametrize("learner", sorted(LEARNERS))
+    @pytest.mark.parametrize("dtype, value, where", CASES)
+    def test_raises_before_any_draw(self, learner, dtype, value, where):
+        x = bernoulli_rows([0.9, 0.1, 0.4, 0.6], 3, self.M, 3).astype(dtype)
+        x[7 if where == "row 7" else slice(None, None, 10), 1] = value
+        noise = NoiseSource(9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PrivestError):
+                self.LEARNERS[learner](x, 1.0, 0.1, 0.05, noise, m=self.M)
+        assert noise.gaussian(1.0) == NoiseSource(9).gaussian(1.0)

@@ -98,6 +98,31 @@ class TestUnivariateMean:
         assert log[-1][0].shape == (k,)
         assert math.fsum(r[2] for r in log) == est.budget_spent.rho
 
+    @pytest.mark.parametrize("kappa", [1.0, 100.0])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e300])
+    def test_votes_and_readings_read_disjoint_halves(self, monkeypatch, kappa, value):
+        # The votes read x[:n//2] and the CDF readings x[n//2:]: a row
+        # replaced in one half moves that half's releases and leaves the
+        # other half's bit-identical.  So by parallel composition the run is
+        # rho/2-zCDP, though it reports rho.
+        n = 4001
+        x = 1.7 + NoiseSource(33).gaussian(math.sqrt(kappa), size=n)
+
+        def statistics(rows):
+            log = releases(monkeypatch, lambda: mean.univariate_mean(
+                rows, 0.8, 0.05, 10.0, kappa, NoiseSource(5)))
+            return [r[0].tobytes() for r in log]
+
+        base = statistics(x)
+        votes, readings = slice(None, -1), slice(-1, None)
+        # the smallest held-out sample lies below every reading
+        held_out = n // 2 + int(np.argmin(x[n // 2:]))
+        for row, moved, kept in ((5, votes, readings), (held_out, readings, votes)):
+            got = statistics(replaced(x, row, value))
+            assert len(got) == len(base)
+            assert got[kept] == base[kept]
+            assert all(g != b for g, b in zip(got[moved], base[moved]))
+
 
 def ppde(rows, m):
     product.ppde(rows, 1.0, 0.2, 0.05, NoiseSource.zero(), m=m)
