@@ -52,7 +52,7 @@ class RoundRecord:
     K: float
 
 
-@dataclass
+@dataclass(eq=False)
 class Preconditioner:
     """Accumulated preconditioning matrix A with per-round certificates.
 
@@ -68,7 +68,7 @@ class Preconditioner:
     kappa_star: Optional[float] = None
 
 
-@dataclass
+@dataclass(eq=False)
 class CovEstimate:
     sigma_hat: np.ndarray
     budget_spent: PrivacyBudget

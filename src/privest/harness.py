@@ -174,10 +174,10 @@ def learn_product_flip_heavy(x: np.ndarray, rho: float, alpha: float,
     exceeds 1/2 (those columns are flipped and the estimate flipped back);
     the learner runs with the remaining 9/10.  The model carries the whole
     rho spent and, in ``ppde``'s record, the flipped columns ("flipped").
-    Rows are 0/1 in any dtype, as for ``ppde``; bools vote through a uint8
-    view and floats through one int8 copy.
+    Rows and parameters pass ``ppde``'s checks before the vote; bools vote
+    through a uint8 view and floats through one int8 copy.
     """
-    x = product.check_binary(x)
+    x = product.check_input(x, rho, alpha, beta, m)
     keys = (x.view(np.uint8) if x.dtype == bool else
             x.astype(np.int8) if x.dtype.kind == "f" else x)
     h = histogram_zcdp(keys, 0, 2, rho / 10.0 / x.shape[1], beta, noise)

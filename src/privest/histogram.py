@@ -34,7 +34,7 @@ from .privacy import gaussian_mechanism_vector
 _COUNT_BLOCK = 1 << 13
 
 
-@dataclass
+@dataclass(eq=False)
 class HistogramResult:
     """Noised bucket frequencies plus the l-infinity accuracy certificate.
 

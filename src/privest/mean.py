@@ -38,7 +38,7 @@ SCALE_VOTE = 0.15
 _DZ_MIN, _DZ_MAX = 0.25, 4.0
 
 
-@dataclass
+@dataclass(eq=False)
 class MeanEstimate:
     mu_hat: Optional[np.ndarray]
     budget_spent: PrivacyBudget
@@ -66,9 +66,9 @@ def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
     """One-dimensional mean estimation for N(mu, sigma^2), |mu| <= R,
     sigma^2 in [1, kappa], from one column ``x``: a 1-d or (n, 1) array.
 
-    Budget: the histogram stage(s) spend rho/2 total and the CDF stage
-    spends rho/2.  Any empty vote aborts (the bottom outcome), which is
-    privacy-preserving.
+    The votes read a copy of the first half; once it is freed, the CDF readings
+    count a copy of the second.  Each half is spent at rho/2, so by parallel
+    composition this is rho/2-zCDP, though it reports rho.  An empty vote aborts.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 and x.shape[1:] != (1,):
@@ -77,21 +77,19 @@ def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
     if n < 4:
         raise InvalidParameterError(f"need at least 4 samples, got {n}")
     check(rho=rho, beta=beta, R=R, kappa=kappa)
-    x = x.reshape(-1)   # read in place: a strided column stays a view
-    hist_block, cdf_block = x[:n // 2], x[n // 2:]
-    m = cdf_block.shape[0]
+    m = n - n // 2
     known_scale = kappa <= 1.0 + 1e-12
     diagnostics: dict = {}
+    vote = x[:n // 2].flatten()   # each half is read once, into a contiguous copy
 
     sigma_hat, rho_loc = 1.0, rho / 2.0
     if not known_scale:
         # Scale vote: |N(0, sigma^2)| differences, geometric base-2 buckets.
         # One array holds each pair, then its magnitude, its log2 and its
         # key; a zero or NaN (inf - inf) pair votes for the lowest bucket.
-        npairs = 2 * (hist_block.shape[0] // 2)
         k_lo, k_hi = -8, math.ceil(math.log2(math.sqrt(kappa))) + 8
         with np.errstate(invalid="ignore", divide="ignore"):
-            keys = np.subtract(hist_block[1:npairs:2], hist_block[0:npairs:2])
+            keys = np.subtract(vote[1::2], vote[:-1:2])
             keys = np.abs(np.divide(keys, math.sqrt(2.0), out=keys), out=keys)
             keys = _bucket_keys(np.log2(keys, out=keys), k_lo, k_hi + 1)
         k_star = argmax_bucket(histogram_zcdp(keys, k_lo, k_hi + 1, rho / 4.0,
@@ -107,7 +105,8 @@ def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
     # wide and the modal bucket keeps a quarter of the mass.
     width = sigma_hat if known_scale else 2.0 * sigma_hat
     g = math.ceil(R / width) + 1
-    keys = _bucket_keys(np.divide(hist_block, width), -g, g)
+    keys = _bucket_keys(np.divide(vote, width, out=vote), -g, g)
+    del vote   # freed before its keys are counted and the CDF half is copied
     r_star = argmax_bucket(histogram_zcdp(keys, -g, g, rho_loc, beta / 2.0, noise),
                            LOCATION_VOTE)
     if r_star is None:
@@ -121,7 +120,8 @@ def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
     # scale, so the voted scale only needs its factor-of-2 guarantee.
     center = mu_tilde + width / 2.0
     t = [mu_tilde] if known_scale else [center - sigma_hat / 2.0, center + sigma_hat / 2.0]
-    p = gaussian_mechanism_vector([np.mean(cdf_block <= ti) for ti in t],
+    cdf = x[n // 2:].flatten()
+    p = gaussian_mechanism_vector([np.count_nonzero(cdf <= ti) / m for ti in t],
                                   math.sqrt(len(t)) / m, rho / 2.0, noise)
     z = ndtri(np.clip(p, 1.0 / (2.0 * m), 1.0 - 1.0 / (2.0 * m))).tolist()
     sigma_est = 1.0
@@ -148,10 +148,10 @@ def naive_pme(x: np.ndarray, rho: float, alpha: float, beta: float, R: float,
               kappa: float, noise: NoiseSource) -> MeanEstimate:
     """Coordinate-wise mean estimation for I <= Sigma <= kappa*I.
 
-    Each coordinate runs the univariate estimator with budget rho/d and
-    confidence beta/d on an independent child noise stream; the per
-    coordinate error target is alpha/sqrt(d).  Any coordinate abort aborts
-    the whole estimate (coordinate recorded).
+    Each coordinate runs univariate_mean at rho/d and beta/d on its own child
+    noise stream, to error alpha/sqrt(d); an abort aborts the whole estimate
+    (coordinate recorded).  It reports rho but, as univariate_mean reads
+    disjoint halves, is rho/2-zCDP.
     """
     x = _samples(x, 4, rho=rho, alpha=alpha, beta=beta, R=R, kappa=kappa)
     d = x.shape[1]

@@ -29,7 +29,7 @@ TAU_1 = 3.0 / 16.0
 _BLOCK = 1 << 13
 
 
-@dataclass
+@dataclass(eq=False)
 class ProductModel:
     """Per-coordinate Bernoulli means in [0,1]^d; a learner's model also
     carries the budget it spent and its record (see ``ppde``)."""
@@ -115,9 +115,12 @@ def num_rounds(d: int) -> int:
     return max(1, math.ceil(math.log2(d / 2.0)))
 
 
-def check_binary(x) -> np.ndarray:
-    """``x`` as an array if it holds 2-d 0/1 rows in any dtype; integers are
-    compared in their own dtype (one min/max pass) and bools not at all."""
+def check_input(x, rho: float, alpha: float, beta: float, m: Optional[int]) -> np.ndarray:
+    """ppde's gate, before any draw: ``x`` as an array if rho, alpha, beta and m pass
+    and it holds 2-d 0/1 rows (integers compared in their own dtype, bools not at all)."""
+    check(rho=rho, alpha=alpha, beta=beta)
+    if m is not None and not (isinstance(m, (int, np.integer)) and m >= 1):
+        raise InvalidParameterError(f"m must be an integer >= 1, got {m!r}")
     x = check_samples(np.asarray(x))
     if x.dtype.kind in "iu":
         binary = x.min(initial=0) >= 0 and x.max(initial=0) <= 1
@@ -132,7 +135,7 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
          noise: NoiseSource, m: Optional[int] = None) -> ProductModel:
     """Private product-distribution estimation by recursive partitioning.
 
-    Rows must be 0/1 in any dtype (``check_binary``).
+    Rows must be 0/1 in any dtype (``check_input``).
     The data splits into R+1 disjoint blocks of m rows (an explicit m must
     be an integer >= 1, numpy integers included).  Each round reads one
     block in place: it takes a truncated mean of the active coordinates
@@ -152,10 +155,7 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
     in, "B": each round's radius}.  Round r read rows [(r-1)m, rm), with the
     coordinates of froze_in >= r active, at u_r = U_1 * 2^(1-r).
     """
-    check(rho=rho, alpha=alpha, beta=beta)
-    if m is not None and not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise InvalidParameterError(f"m must be an integer >= 1, got {m!r}")
-    x = check_binary(x)
+    x = check_input(x, rho, alpha, beta, m)
     n, d = x.shape
     r_max = num_rounds(d)
     if m is None:

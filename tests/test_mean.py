@@ -111,9 +111,11 @@ class TestUnivariateMean:
 
     @pytest.mark.parametrize("kappa", [1.0, 100.0])
     def test_strided_column_is_read_in_place(self, kappa):
-        # a column of a C-order matrix is read where it lies, as the mean
-        # third's columns are: no copy of it, and the scale vote's pairs,
-        # magnitudes and keys share one array
+        # a column of a C-order matrix, as the mean third's columns are, is
+        # read once per half: the vote half is copied into one array that the
+        # location keys are computed in and that is freed before they are
+        # counted, then the CDF half is copied for its readings.  The scale
+        # vote's pairs, magnitudes and keys share one array
         n = 133_333
         x = 0.5 + 3.0 * np.random.default_rng(7).standard_normal((n, 8))
         want = univariate_mean(x[:, 5].copy(), 0.1, 0.05, 1e4, kappa, NoiseSource(3))
@@ -126,7 +128,7 @@ class TestUnivariateMean:
             tracemalloc.stop()
         assert got.mu_hat == want.mu_hat and got.weak_estimate == want.weak_estimate
         assert got.diagnostics == want.diagnostics
-        assert peak / n <= 16.0
+        assert peak / n <= 12.5   # measured 10.4 (kappa 1) and 10.0 (kappa 100)
 
     @pytest.mark.parametrize("bad, bucket", [(math.nan, -4), (-math.inf, -4),
                                              (-1e300, -4), (math.inf, 3),
@@ -199,6 +201,42 @@ class TestNaivePme:
                 continue
             good += np.linalg.norm(est.mu_hat - mu) <= 0.2
         assert good >= 18
+
+
+# naive_pme and pme on C-order 133,333 x 8 rows, mean linspace(-3, 3, 8) and
+# unit variance: (estimator, kappa) -> (mu_hat, weak_estimate), as printed by
+# a univariate_mean that read each half of its column as a strided view
+_PINNED_MULTI = {
+    ("naive_pme", 1.0): ([-3.001535004704109, -2.135929365408865, -1.2844473529755795,
+                          -0.43168526005545493, 0.4287656452199208, 1.291608702212836,
+                          2.1432087703209, 2.99671277571265],
+                         [-3.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]),
+    ("naive_pme", 100.0): ([-3.001533925117018, -2.132805609020017, -1.2819276103111088,
+                            -0.4320097639392039, 0.4247530227101209, 1.290086668953376,
+                            2.1383826951417073, 2.9999413723000456],
+                           [-3.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]),
+    # pme runs no preconditioning round at either kappa, so both pin alike
+    ("pme", 1.0): ([-3.0032466743156765, -2.1399191666642823, -1.2847357365669723,
+                    -0.4303608003773261, 0.4220843450732606, 1.290308787179976,
+                    2.137223541934568, 2.9936771360146306],
+                   [-3.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]),
+    ("pme", 100.0): ([-3.0032466743156765, -2.1399191666642823, -1.2847357365669723,
+                      -0.4303608003773261, 0.4220843450732606, 1.290308787179976,
+                      2.137223541934568, 2.9936771360146306],
+                     [-3.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]),
+}
+
+
+@pytest.mark.parametrize("name, kappa", sorted(_PINNED_MULTI))
+def test_pinned_multivariate_outputs_in_either_order(name, kappa):
+    # strided columns (C order) and contiguous ones (Fortran order) give the
+    # same estimate, and both give the pinned one, bit for bit
+    estimate = {"naive_pme": naive_pme, "pme": pme}[name]
+    x = np.linspace(-3.0, 3.0, 8) + np.random.default_rng(8).standard_normal((133_333, 8))
+    mu_hat, weak = _PINNED_MULTI[name, kappa]
+    for rows in (x, np.asfortranarray(x)):
+        est = estimate(rows, 1.0, 0.1, 0.05, 10.0, kappa, NoiseSource(5))
+        assert est.mu_hat.tolist() == mu_hat and est.weak_estimate.tolist() == weak
 
 
 class TestPme:

@@ -12,6 +12,7 @@ from privest import (gaussian_mechanism_symmetric, gaussian_mechanism_vector,
                      p_estimate_trace, pgce, pgce_no_bound, pme, ppc, ppc_range,
                      ppde, univariate_mean, weak_ppc)
 from privest.errors import EstimationFailedError, InvalidParameterError, check
+from privest.harness import learn_product_flip_heavy
 from privest.noise import NoiseSource
 
 _rng = np.random.default_rng(0)
@@ -38,6 +39,8 @@ ESTIMATORS = {
     "learn_gaussian": (learn_gaussian, X,
                        dict(rho=1.0, alpha=0.1, beta=0.05, R=10.0, kappa=1e5), True),
     "ppde": (ppde, BITS, dict(rho=1.0, alpha=0.1, beta=0.05, m=100), True),
+    "learn_product_flip_heavy": (learn_product_flip_heavy, BITS,
+                                 dict(rho=1.0, alpha=0.1, beta=0.05, m=100), True),
     "histogram_zcdp": (histogram_zcdp, KEYS, dict(lo=0, hi=4, rho=1.0, beta=0.05), False),
     "gaussian_mechanism_vector": (gaussian_mechanism_vector, np.zeros(3),
                                   dict(delta2=1.0, rho=1.0), False),
@@ -56,6 +59,9 @@ def _cases():
             edge = 1.0 if (name, p) == ("weak_ppc", "kappa") else NEAREST_OUT[p]
             for v in (math.inf, math.nan, edge):
                 yield pytest.param(name, data, {p: v}, id=f"{name}-{p}={v}")
+        if "m" in params:   # the product learners' block size: an integer >= 1
+            for v in (0, 1.5):
+                yield pytest.param(name, data, {"m": v}, id=f"{name}-m={v}")
         if samples:
             yield pytest.param(name, X[:, :0], {}, id=f"{name}-zero-columns")
 

@@ -270,6 +270,12 @@ class TestProductModel:
         with pytest.raises(InvalidParameterError):
             ProductModel(p=[np.nan, 0.1])
 
+    def test_models_compare_by_identity(self):
+        # a generated == would compare the p arrays and raise numpy's "truth
+        # value of an array ... is ambiguous" at d >= 2
+        a, b = ProductModel(p=[0.1, 0.2]), ProductModel(p=[0.1, 0.2])
+        assert a == a and a != b
+
     def test_sampling_frequencies(self):
         model = ProductModel(p=[0.1, 0.7])
         x = sample_product(model, 50_000, NoiseSource(1))
