@@ -96,7 +96,8 @@ def run_tracing_attack(mechanism: Callable[[np.ndarray], np.ndarray],
     statistic's codomain assumption), and score both groups.  The recorded
     in/out score for the trial is the group average (same expectation as a
     single row's score, much lower variance); the per-coordinate trace
-    statistic accumulates all member scores.
+    statistic accumulates all member scores.  The rows are centred in place
+    once the mechanism returns, so a mechanism must not keep its input.
 
     kind="product": prior uniform on [-1/3, 1/3]^d, rows in {-1, +1}^d.
     kind="gaussian": prior uniform on [-R, R]^d, rows N(mu, I); R must be
@@ -118,9 +119,11 @@ def run_tracing_attack(mechanism: Callable[[np.ndarray], np.ndarray],
     failures = 0
     for _ in range(trials):
         model = noise.uniform(-bound, bound, size=d)
-        if kind == "product":
-            u = noise.uniform(size=(2 * n, d))
-            rows = (u < (1.0 + model) / 2.0) * 2.0 - 1.0
+        if kind == "product":  # each uniform becomes its +-1 entry in place
+            rows = noise.uniform(size=(2 * n, d))
+            np.less(rows, (1.0 + model) / 2.0, out=rows)
+            rows *= 2.0
+            rows -= 1.0
         else:
             rows = model + noise.gaussian(1.0, size=(2 * n, d))
         x, x_out = rows[:n], rows[n:]
@@ -131,14 +134,14 @@ def run_tracing_attack(mechanism: Callable[[np.ndarray], np.ndarray],
         except Exception:
             failures += 1
             continue
-        est = np.clip(est, -bound, bound)
-        w = _weights(kind, model, R)
-        scores_in = (x - model) @ (w * (est - model))
-        scores_out = (x_out - model) @ (w * (est - model))
+        err = np.minimum(np.maximum(est, -bound), bound) - model
+        weighted = _weights(kind, model, R) * err
+        rows -= model  # both groups, in place: the mechanism has returned
+        scores_in = x @ weighted
+        scores_out = x_out @ weighted
         in_scores.append(float(scores_in.mean()))
         out_scores.append(float(scores_out.mean()))
-        lhs_vals.append((float(scores_in.sum())
-                         + float(np.sum((est - model) ** 2))) / d)
+        lhs_vals.append((float(scores_in.sum()) + float(np.sum(err ** 2))) / d)
 
     in_arr = np.asarray(in_scores)
     out_arr = np.asarray(out_scores)

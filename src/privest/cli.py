@@ -18,6 +18,7 @@ it refuses to run without --i-understand-no-privacy.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -108,8 +109,12 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
+# main's one parser per process: parsing leaves no state in it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
         report = run_experiment(cfg)

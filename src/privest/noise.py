@@ -88,7 +88,7 @@ class NoiseSource:
             raise InvalidParameterError(f"std must be >= 0, got {std}")
         if self.zero_noise:
             return 0.0 if size is None else np.zeros(size)
-        u = np.clip(self._gen.random(size), _U_FLOOR, 1.0 - 1e-16)
+        u = np.minimum(np.maximum(self._gen.random(size), _U_FLOOR), 1.0 - 1e-16)
         return std * ndtri(u)
 
     def laplace(self, scale: float, size=None):
@@ -98,7 +98,7 @@ class NoiseSource:
             raise InvalidParameterError(f"scale must be >= 0, got {scale}")
         if self.zero_noise:
             return 0.0 if size is None else np.zeros(size)
-        u = np.clip(self._gen.random(size), _U_FLOOR, 1.0 - 1e-16)
+        u = np.minimum(np.maximum(self._gen.random(size), _U_FLOOR), 1.0 - 1e-16)
         # u - 1/2 is symmetric about 0; sign(v) * log(1 - 2|v|) inverts the CDF.
         v = u - 0.5
         return -scale * np.sign(v) * np.log1p(-2.0 * np.abs(v))

@@ -39,8 +39,8 @@ class ProductModel:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float).ravel()
-        if not np.all((self.p >= 0) & (self.p <= 1)):  # NaN fails too
+        p = self.p = np.asarray(self.p, dtype=float).ravel()
+        if not (p.min(initial=0.0) >= 0.0 and p.max(initial=1.0) <= 1.0):  # NaN fails too
             raise InvalidParameterError("coordinates must lie in [0,1]")
 
     @property
@@ -55,16 +55,19 @@ def tmean(x: np.ndarray, B: float, cols: Optional[np.ndarray] = None) -> np.ndar
     of zero or NaN norm keeps scale 1; one of infinite norm gets scale 0
     when B is finite.  ``tmean(x, B, cols)`` is ``tmean(x[:, cols], B)``
     without that copy: rows of any dtype are gathered, converted, truncated
-    and summed in blocks of ``_BLOCK`` values through one float buffer whose
-    first row carries the running sums.  numpy's axis-0 sum adds row by row,
-    so this is ``(x * scale[:, None]).mean(axis=0)`` bit for bit; one column
-    is one pairwise sum, so ``_column_sum`` splits it as numpy does.
+    and summed in blocks of ``_BLOCK`` values through one float buffer.
+    From the second block on, the buffer's first row carries the running
+    sum, and each block's rows follow it.  numpy's axis-0 sum adds row by
+    row, so this is ``(x * scale[:, None]).mean(axis=0)`` bit for bit; one
+    column is one pairwise sum, so ``_column_sum`` splits it as numpy does.
     """
     if not B >= 0:
         raise InvalidParameterError(f"B must be >= 0, got {B}")
     x = check_samples(np.asarray(x))
-    cols = slice(None) if cols is None else cols  # all columns: a view per block
-    m, d = len(x), check_samples(x[:0, cols]).shape[1]
+    # A column selection becomes one row of indices, checked as samples are
+    # (1-d, not empty), and each block is one take; no selection reads views.
+    cols = None if cols is None else np.arange(x.shape[1])[cols]
+    m, d = len(x), x.shape[1] if cols is None else check_samples(cols[None]).shape[1]
     if m == 0:
         raise EmptyInputError("tmean of zero rows")
     step = max(1, _BLOCK // d)
@@ -72,17 +75,21 @@ def tmean(x: np.ndarray, B: float, cols: Optional[np.ndarray] = None) -> np.ndar
     with np.errstate(all="ignore"):  # fmin drops the NaN of 0/0 and B/NaN
         if d == 1:
             return _column_sum(x, cols, B, buf, 0, m) / m
+        total, lo = np.empty(d), 1  # the first block has no running sum yet
         for start in range(0, m, step):
-            lo = 1 if start else 0  # the first block has no running sum yet
-            rows = _truncated(x, cols, B, buf[lo: lo + min(step, m - start)], start)
-            np.add.reduce(buf[:lo + len(rows)], axis=0, out=buf[0])
-    return buf[0] / m
+            rows = _truncated(x, cols, B, buf[1: 1 + min(step, m - start)], start)
+            np.add.reduce(buf[lo: 1 + len(rows)], axis=0, out=total)
+            buf[0], lo = total, 0
+    return total / m
 
 
 def _truncated(x: np.ndarray, cols, B: float, rows: np.ndarray, start: int) -> np.ndarray:
     """``rows``, filled from row ``start`` of ``x[:, cols]``, truncated to radius B."""
-    rows[...] = x[start: start + len(rows), cols]
-    rows *= np.fmin(1.0, B / np.sqrt(np.add.reduce(rows * rows, axis=1)))[:, None]
+    block = x[start: start + len(rows)]
+    rows[...] = block if cols is None else block.take(cols, axis=1)
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=1))
+    if not norms.max() <= B:  # else no row lies outside the ball: every scale is 1
+        rows *= np.fmin(1.0, B / norms)[:, None]
     return rows
 
 
@@ -174,9 +181,9 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
         last = u * len(active) < 1.0 or r > r_max
         b_r = (math.sqrt(6.0 * math.log(m / beta)) if last else
                math.sqrt(6.0 * u * len(active) * math.log(m * r_max / beta)))
-        noisy = gaussian_mechanism_vector(tmean(x[(r - 1) * m: r * m], b_r, active),
-                                          math.sqrt(2.0) * b_r / m, rho, noise)
-        freeze = np.ones(len(active), bool) if last else noisy >= tau
+        truncated = tmean(x[(r - 1) * m: r * m], b_r, None if len(active) == d else active)
+        noisy = gaussian_mechanism_vector(truncated, math.sqrt(2.0) * b_r / m, rho, noise)
+        freeze = slice(None) if last else noisy >= tau
         frozen = active[freeze]
         q[frozen], froze_in[frozen] = noisy[freeze], r
         radii.append(b_r)
@@ -184,7 +191,8 @@ def ppde(x: np.ndarray, rho: float, alpha: float, beta: float,
             break
         active, u, tau = active[~freeze], u / 2.0, tau / 2.0
 
-    return ProductModel(p=np.clip(q, 0.0, 1.0), budget_spent=PrivacyBudget.zcdp(rho),
+    np.minimum(np.maximum(q, 0.0, out=q), 1.0, out=q)  # into [0, 1]^d
+    return ProductModel(p=q, budget_spent=PrivacyBudget.zcdp(rho),
                         diagnostics={"m": m, "froze_in": froze_in, "B": np.array(radii)})
 
 

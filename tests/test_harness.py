@@ -2,12 +2,17 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from privest import harness, product
+import privest
+from privest import cli, harness, product
 from privest.cli import build_parser, main as cli_main
 from privest.errors import InvalidParameterError
 from privest.harness import (CSV_COLUMNS, ExperimentConfig,
@@ -544,3 +549,39 @@ class TestCliParser:
         want = {"command": name, **dict.fromkeys(keys),
                 "i_understand_no_privacy": False}
         assert vars(build_parser().parse_args([name])) == want
+
+    RUNS = {
+        "learn-product": ["learn-product", "--flip-heavy", "--rho", "1", "--n", "8000",
+                          "--d", "6", "--m", "2000", "--seed", "5"],
+        "attack": ["attack", "--mechanism", "ppde", "--rho", "0.1", "--n", "400",
+                   "--d", "8", "--m", "100", "--attack-trials", "20", "--seed", "5"],
+    }
+
+    def test_reused_parser_leaks_no_state(self, tmp_path, capsys):
+        # main builds its parser once per process.  Runs in one process, an
+        # argparse error among them, write the reports a fresh process
+        # writes, and afterwards every command line parses as it does with
+        # a newly built parser.  report.json records --out, so every run
+        # writes to one directory.
+        out = tmp_path / "out"
+        env = {**os.environ, "PYTHONPATH": str(Path(privest.__file__).resolve().parents[1])}
+
+        def report():
+            return [(out / name).read_bytes() for name in ("report.csv", "report.json")]
+
+        fresh = {}
+        for name, argv in self.RUNS.items():
+            subprocess.run([sys.executable, "-m", "privest.cli", *argv, "--out", str(out)],
+                           check=True, capture_output=True, env=env)
+            fresh[name] = report()
+        for name in ("learn-product", "attack", "learn-product"):
+            assert cli_main(self.RUNS[name] + ["--out", str(out)]) == 0
+            assert report() == fresh[name], name
+            with pytest.raises(SystemExit):
+                cli_main(["attack", "--mechanism", "nope"])
+        common = [s for kv in self.COMMON.items() for s in kv]
+        for name, (argv, _) in self.EXTRA.items():
+            for line in ([name], [name] + common + self.COMMON_SWITCHES + argv,
+                         self.RUNS.get(name, [name])):
+                assert vars(cli._parser().parse_args(line)) == \
+                    vars(build_parser().parse_args(line)), line
