@@ -9,7 +9,8 @@ guarantee is (eps, delta)-DP.
 import numpy as np
 
 from privest import (GaussianParams, NoiseSource, mahalanobis_mat,
-                     p_estimate_trace, pgce_no_bound, sample_gaussian)
+                     pgce_no_bound, sample_gaussian)
+from privest.covariance_unbounded import p_estimate_trace
 from privest.errors import EstimationFailedError
 
 # trace vote on an isotropic Gaussian

@@ -1,4 +1,4 @@
-"""Fingerprinting (tracing) statistics and the covariance packing generator.
+"""The fingerprinting (tracing) attack on black-box mean estimators.
 
 The scores measure correlation between an estimator's output and a single
 sample; on members the correlation is positive for any accurate estimator,
@@ -23,7 +23,7 @@ from .noise import NoiseSource
 
 @dataclass
 class FingerprintReport:
-    """Member/non-member score samples with summary statistics."""
+    """Member/non-member score samples and the trace-bound estimate."""
 
     in_scores: np.ndarray
     out_scores: np.ndarray
@@ -33,21 +33,6 @@ class FingerprintReport:
     failures: int = 0
     meta: dict = field(default_factory=dict)
 
-    def summary(self) -> dict:
-        t = len(self.in_scores)
-        return {
-            "trials": t,
-            "failures": self.failures,
-            "in_mean": float(np.mean(self.in_scores)) if t else None,
-            "in_stderr": float(np.std(self.in_scores, ddof=1) / math.sqrt(t)) if t > 1 else None,
-            "out_mean": float(np.mean(self.out_scores)) if t else None,
-            "out_stderr": float(np.std(self.out_scores, ddof=1) / math.sqrt(t)) if t > 1 else None,
-            "separation": self.separation,
-            "fp_lemma_lhs": self.fp_lemma_lhs,
-            "fp_lemma_stderr": self.fp_lemma_stderr,
-            **self.meta,
-        }
-
 
 def _weights(kind: str, model: np.ndarray, R: float = 1.0) -> np.ndarray:
     """The tracing score's per-coordinate weights, zero exactly on its prior's
@@ -55,34 +40,6 @@ def _weights(kind: str, model: np.ndarray, R: float = 1.0) -> np.ndarray:
     if kind == "product":
         return (1.0 / 9.0 - model ** 2) / (1.0 - model ** 2)
     return R ** 2 - model ** 2
-
-
-def fp_score_product(est: np.ndarray, x_row: np.ndarray,
-                     p: np.ndarray) -> float:
-    """Tracing score for product distributions over {-1, +1}^d.
-
-    Z = sum_j ((1/9 - p_j^2) / (1 - p_j^2)) * (est_j - p_j) * (x_j - p_j).
-    """
-    est = np.asarray(est, dtype=float).ravel()
-    x_row = np.asarray(x_row, dtype=float).ravel()
-    p = np.asarray(p, dtype=float).ravel()
-    if np.any(np.abs(p) >= 1):
-        raise InvalidParameterError("|p_j| must be < 1")
-    return float(np.sum(_weights("product", p) * (est - p) * (x_row - p)))
-
-
-def fp_score_gaussian(est: np.ndarray, x_row: np.ndarray, mu: np.ndarray,
-                      R: float) -> float:
-    """Tracing score for Gaussian means drawn from the cube [-R, R]^d.
-
-    Z = sum_j (R^2 - mu_j^2) * (est_j - mu_j) * (x_j - mu_j).
-    """
-    est = np.asarray(est, dtype=float).ravel()
-    x_row = np.asarray(x_row, dtype=float).ravel()
-    mu = np.asarray(mu, dtype=float).ravel()
-    if np.any(np.abs(mu) > R):
-        raise InvalidParameterError("||mu||_inf must be <= R")
-    return float(np.sum(_weights("gaussian", mu, R) * (est - mu) * (x_row - mu)))
 
 
 def run_tracing_attack(mechanism: Callable[[np.ndarray], np.ndarray],
@@ -155,28 +112,3 @@ def run_tracing_attack(mechanism: Callable[[np.ndarray], np.ndarray],
                              fp_lemma_stderr=lhs_se, failures=failures,
                              meta={"kind": kind, "n": n, "d": d,
                                    "prior_bound": bound})
-
-
-def cov_packing(d: int, alpha: float, count: int = 16,
-                seed: int = 0) -> list[np.ndarray]:
-    """Seeded subset of the covariance packing I + v.
-
-    v is symmetric with zero diagonal and off-diagonal entries +-alpha/(2d);
-    every output satisfies (1/2) I <= Sigma <= (3/2) I by Gershgorin.
-    """
-    if d < 2:
-        raise InvalidParameterError("need d >= 2")
-    if not (0 < alpha / (2.0 * d) < 0.5):
-        raise InvalidParameterError("need 0 < alpha/(2d) < 1/2")
-    if count < 1:
-        raise InvalidParameterError("need count >= 1")
-    gen = np.random.Generator(np.random.Philox(key=seed))
-    mats = []
-    iu = np.triu_indices(d, k=1)
-    for _ in range(count):
-        signs = gen.integers(0, 2, size=len(iu[0])) * 2 - 1
-        v = np.zeros((d, d))
-        v[iu] = signs * alpha / (2.0 * d)
-        v = v + v.T
-        mats.append(np.eye(d) + v)
-    return mats

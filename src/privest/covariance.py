@@ -70,6 +70,8 @@ class Preconditioner:
 
 @dataclass(eq=False)
 class CovEstimate:
+    """A covariance estimate with the budget it spent and its record."""
+
     sigma_hat: np.ndarray
     budget_spent: PrivacyBudget
     diagnostics: dict = field(default_factory=dict)

@@ -40,6 +40,8 @@ _DZ_MIN, _DZ_MAX = 0.25, 4.0
 
 @dataclass(eq=False)
 class MeanEstimate:
+    """A mean estimate (None when a vote aborted) with its spent budget."""
+
     mu_hat: Optional[np.ndarray]
     budget_spent: PrivacyBudget
     weak_estimate: Optional[np.ndarray] = None

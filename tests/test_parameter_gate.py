@@ -7,13 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from privest import (gaussian_mechanism_symmetric, gaussian_mechanism_vector,
-                     histogram_zcdp, learn_gaussian, naive_pce, naive_pme,
-                     p_estimate_trace, pgce, pgce_no_bound, pme, ppc, ppc_range,
-                     ppde, univariate_mean, weak_ppc)
+from privest import (NoiseSource, learn_gaussian, learn_product_flip_heavy,
+                     naive_pme, pgce, pgce_no_bound, pme, ppc, ppc_range, ppde,
+                     univariate_mean)
+from privest.covariance import naive_pce, weak_ppc
+from privest.covariance_unbounded import p_estimate_trace
 from privest.errors import EstimationFailedError, InvalidParameterError, check
-from privest.harness import learn_product_flip_heavy
-from privest.noise import NoiseSource
+from privest.histogram import histogram_zcdp
+from privest.privacy import gaussian_mechanism_symmetric, gaussian_mechanism_vector
 
 _rng = np.random.default_rng(0)
 X = _rng.standard_normal((600, 2)) * [1.0, 30.0]
