@@ -7,10 +7,10 @@ condition bound down to 1000 (``ppc``), and the full estimator that
 preconditions, estimates in the well-conditioned frame, and conjugates back
 (``pgce``).  No estimator transforms the samples: every round, and the
 final estimate, reads one cached Gram matrix through the accumulated map
-(``_Frame``), which reads the rows at the first clamp asked of it, rereads
-them only when an ellipsoid around them cannot rule out a drop, and
-conjugates back through the map's exact inverse in factored form.
-``covariance_unbounded`` runs its rounds on the same frame.
+(``_Frame``): it reads the rows at the first clamp asked of it, rereads them
+only when an ellipsoid around them cannot rule out a drop, holds O(d^2 +
+block) more while none is out, and conjugates back through the map's exact
+inverse in factored form.  ``covariance_unbounded`` shares it.
 """
 
 from __future__ import annotations
@@ -34,11 +34,12 @@ ROUND_SHRINK = 0.7
 ROUND_SCALE = 1.1
 # ppc's per-round shrink of the heavy subspace: each factor scales it by 1/sqrt(K).
 ROUND_K = 2.0
-# A frame's passes over its rows (exact norms, the ellipsoid fit) go in blocks
-# of at most this many multiply-adds.  OpenBLAS runs a product that small on
-# the calling thread; splitting each whole pass over two threads made an
-# operation 2-3x slower whenever another process kept the second core busy.
+# A frame's passes over its mapped rows (exact norms, the ellipsoid fit) go
+# in blocks of at most this many multiply-adds.  OpenBLAS runs a product that
+# small on the calling thread; splitting each whole pass over two threads made
+# an operation 2-3x slower whenever another process kept the second core busy.
 _BLOCK_MADDS = 2 ** 18
+_BLOCK_ROWS = 2 ** 13   # a pass that only squares the rows: rows per block
 
 
 @dataclass
@@ -99,7 +100,7 @@ class _Pairs:
     """The mean-free difference pairs (x[2i+1] - x[2i]) / sqrt(2) of the rows
     of ``x``, never built whole.  A slice lo:hi of at most ``step`` rows, a
     block of _BLOCK_MADDS multiply-adds in a d x d product, is computed into
-    one reused buffer, valid until the next; an index array gives a new array."""
+    one reused buffer, valid until the next; a longer slice or an index array, a new one."""
 
     def __init__(self, x: np.ndarray):
         self.x, self.shape = x, (x.shape[0] // 2, x.shape[1])
@@ -111,7 +112,7 @@ class _Pairs:
             if isinstance(rows, slice):
                 lo, hi, _ = rows.indices(self.shape[0])
                 out = np.subtract(self.x[2 * lo + 1:2 * hi:2], self.x[2 * lo:2 * hi:2],
-                                  out=self.buf[:hi - lo])
+                                  out=self.buf[:hi - lo] if hi - lo <= self.step else None)
             else:
                 out = np.subtract(self.x[2 * rows + 1], self.x[2 * rows])
         return np.divide(out, math.sqrt(2.0), out=out)
@@ -124,18 +125,19 @@ class _Frame:
     one whole pass at the first ``moment`` (admitting the rows its clamp could
     keep) or the first ``sq_norms`` (admitting none).  It then holds the
     indices ``idx`` of those admitted (some clamp asked for so far could keep
-    them; None: all), their clamped second moment S = G/n, their squared norms
-    under M and the indices ``out`` of the others (None: not read yet).  M and
-    its exact inverse are built one factor scale * (I - c V V^T) per ``push``.
-    ``shape`` is the samples' shape.  ``push`` leaves the norms stale;
-    ``moment`` recomputes them only if S's ellipsoid [T, T^-1, r], |T x|^2 <= r
-    for every admitted row, fitted once, cannot rule out a drop.  A frame
-    never pushed keeps exact norms and never fits.
+    them; None: all), their clamped second moment S = G/n, their largest
+    squared norm ``top``, and the indices ``out`` of the others with their
+    norms (None: not read yet).  M and its exact inverse are built one factor
+    scale * (I - c V V^T) per ``push``.  ``shape`` is the samples' shape.  A
+    caller that needs the admitted rows' norms under M one by one builds
+    them, kept until the next ``push``; ``moment`` otherwise rules out a drop
+    by ``top`` if never pushed, else by S's ellipsoid [T, T^-1, r], |T x|^2 <=
+    r for every admitted row, fitted once.
     """
 
     def __init__(self, x):
-        self.x, self.shape, self.out = x, x.shape, None
-        self.rounds, self.stale, self.fitted, self.ellipsoid = 0, False, False, None
+        self.x, self.shape, self.out, self.norms = x, x.shape, None, None
+        self.rounds, self.fitted, self.ellipsoid = 0, False, None
         self.m, self.m_inv = np.eye(x.shape[1]), np.eye(x.shape[1])
         self.inv_norm_sq = 1.0   # bounds |M^{-1}|_2^2: |M x|^2 >= |x|^2 / it
 
@@ -145,25 +147,29 @@ class _Frame:
         rows in copies of at most a ``_Pairs`` block."""
         # Rows past the reach are dropped by every clamp asked for so far.  Keeping
         # them out of S stops a huge finite row from cancelling the rest when dropped.
-        self.reach, (n, d) = reach, self.shape
+        self.reach, (n, d), self.top = reach, self.shape, -math.inf
         step = n if isinstance(self.x, np.ndarray) else self.x.step
         sub = max(1, _BLOCK_MADDS // d ** 2)
         # No n-byte mask of kept rows until a block has an out row (NaN is one).
-        norms, keep, gram = np.empty(n), np.ones(0, dtype=bool), None
+        keep, gram, out_norms = np.ones(0, dtype=bool), None, [np.empty(0)]
         for lo in range(0, n, step):
-            rows, at = self.x[lo:lo + step], slice(lo, lo + step)
-            np.einsum("ij,ij->i", rows, rows, out=norms[at])
-            if not norms[at].max() <= reach:
-                keep = keep if keep.size else np.ones(n, dtype=bool)
-                np.less_equal(norms[at], reach, out=keep[at])
-            parts = [rows] if keep[at].all() else (
+            rows = self.x[lo:lo + step]
+            for s in range(0, len(rows), _BLOCK_ROWS):
+                q = _sq_under(rows[s:s + _BLOCK_ROWS])
+                k = q <= reach
+                self.top = max(self.top, q.max(where=k, initial=-math.inf))
+                if not k.all():
+                    keep = keep if keep.size else np.ones(n, dtype=bool)
+                    keep[lo + s:lo + s + q.size] = k
+                    out_norms.append(q[~k])
+            parts = [rows] if keep[lo:lo + step].all() else (
                 rows[s:s + sub][keep[lo + s:lo + s + sub]] for s in range(0, len(rows), sub))
             for part in parts:
                 gram = part.T @ part if gram is None else gram + part.T @ part
         self.idx = np.flatnonzero(keep) if keep.size else None
-        self.norms = norms[keep] if keep.size else norms
         self.out = np.flatnonzero(np.logical_not(keep, out=keep))   # no n-byte copy
-        self.out_norms = norms[self.out]
+        self.out_norms = np.concatenate(out_norms)
+        self.norms = np.empty(0) if self.out.size == n else None   # none to build
         gram /= n
         self.second = (gram + gram.T) / 2.0
 
@@ -176,29 +182,29 @@ class _Frame:
         self.reach, add = max(self.reach, reach), self.out_norms <= reach
         if not add.any():   # always so while idx is None: no row is out
             return
-        new = self.x[self.out[add]]
+        new, q = self.x[self.out[add]], self.out_norms[add]
         second = (new.T @ new) / self.shape[0]
         self.second = self.second + (second + second.T) / 2.0
-        self.idx = np.concatenate([self.idx, self.out[add]])
-        self.norms = np.concatenate([self.norms, _sq_under(new, self.m)])
+        self.idx, self.top = np.concatenate([self.idx, self.out[add]]), max(self.top, q.max())
+        if self.norms is not None:   # never pushed: the norms _read took
+            self.norms = np.concatenate([self.norms, _sq_under(new, self.m) if self.rounds else q])
         if self.ellipsoid:
             t, _, r = self.ellipsoid
-            self.ellipsoid[2] = max(r, _sq_under(new, t).max(initial=0.0))
+            self.ellipsoid[2] = max(r, _sq_under(new, t, top=True))
         self.out, self.out_norms = self.out[~add], self.out_norms[~add]
 
     def _fit(self):
         """Fit S = U diag(w) U^T's ellipsoid, T = diag(w)^{-1/2} U^T and r the
-        largest |T x|^2, in one pass that uses the stale norms as scratch; none
-        if S is non-finite or zero.  Any invertible T bounds |M x|, so w is
-        floored at 1e-12 of its largest: rows in a subspace are fitted too."""
+        largest |T x|^2, a running maximum over one pass; none if S is
+        non-finite or zero.  Any invertible T bounds |M x|, so w is floored
+        at 1e-12 of its largest: rows in a subspace are fitted too."""
         self.fitted = True
         if np.isfinite(self.second).all():   # LAPACK may not return on NaN
             w, u = sym_eigh(self.second)
             w = np.maximum(w, 1e-12 * w[-1])
             if w[0] > 0:
                 t = u.T / np.sqrt(w)[:, None]
-                self.ellipsoid = [t, u * np.sqrt(w),
-                                  _sq_under(self.x, t, self.norms, self.idx).max(initial=0.0)]
+                self.ellipsoid = [t, u * np.sqrt(w), _sq_under(self.x, t, self.idx, top=True)]
 
     def _certified(self, b_sq: float) -> bool:
         """Whether S's ellipsoid, fitted at the first call, proves that no
@@ -217,9 +223,11 @@ class _Frame:
             return np.isfinite(g).all() and 1.01 * r * sym_eigvals(g)[-1] <= b_sq
 
     def _exact_norms(self) -> np.ndarray:
-        """Squared norms |M x|^2 of the admitted rows, recomputed after a push."""
-        if self.stale:
-            self.norms, self.stale = _sq_under(self.x, self.m, self.norms, self.idx), False
+        """Squared norms |M x|^2 of the admitted rows, built at the first call since a push."""
+        if self.norms is None and self.rounds:
+            self.norms = _sq_under(self.x, self.m, self.idx)
+        elif self.norms is None:   # as _read took them, from row slices: they drop what it would
+            self.norms = _sq_under(self.x)[slice(None) if self.idx is None else self.idx]
         return self.norms
 
     def moment(self, b_sq: float) -> tuple[np.ndarray, int]:
@@ -231,8 +239,9 @@ class _Frame:
         with np.errstate(over="ignore"):
             if self.out.size and b_sq * self.inv_norm_sq > self.reach:
                 self.cover(b_sq)
-        cov, kept = self.second, self.norms.shape[0]
-        if not (self.stale and self._certified(b_sq)):
+        cov, kept = self.second, self.shape[0] - self.out.size
+        if self.norms is not None or not (
+                self._certified(b_sq) if self.rounds else self.top <= b_sq):
             norms = self._exact_norms()
             if not norms.max(initial=-math.inf) <= b_sq:   # no n-byte mask while all are in
                 drop = norms > b_sq
@@ -259,21 +268,27 @@ class _Frame:
         with np.errstate(over="ignore", invalid="ignore"):
             self.m_inv = (self.m_inv + (math.sqrt(K) - 1.0) * ((self.m_inv @ v) @ v.T)) / scale
             self.inv_norm_sq *= K / scale ** 2
-        self.stale, self.rounds = True, self.rounds + 1
+        self.norms, self.rounds = None, self.rounds + 1
 
 
-def _sq_under(rows, t: np.ndarray, out=None, idx=None) -> np.ndarray:
-    """Squared norms |t x|^2 of the rows ``idx`` (None: all) of ``rows``, an
-    array or a ``_Pairs`` (NaN or inf for a non-finite row), in blocks of at
-    most _BLOCK_MADDS multiply-adds."""
+def _sq_under(rows, t=None, idx=None, top=False):
+    """Squared norms |t x|^2 (t None: |x|^2, by einsum alone) of the rows ``idx``
+    (None: all) of ``rows``, an array or a ``_Pairs`` (NaN or inf for a non-finite
+    row), in blocks of _BLOCK_MADDS multiply-adds, or _BLOCK_ROWS rows without
+    ``t``; with ``top`` only their maximum (0 for none), over a reused buffer."""
     count = rows.shape[0] if idx is None else idx.shape[0]
-    out = np.empty(count) if out is None else out
-    step = max(1, _BLOCK_MADDS // t.size)
+    step = _BLOCK_ROWS if t is None else max(1, _BLOCK_MADDS // t.size)
+    size = min(count, max(step, _BLOCK_ROWS // step * step)) if top else count
+    out, r = np.empty(size), 0.0
     with np.errstate(invalid="ignore", over="ignore"):
         for lo in range(0, count, step):
-            p = (rows[lo:lo + step] if idx is None else rows[idx[lo:lo + step]]) @ t.T
-            np.einsum("ij,ij->i", p, p, out=out[lo:lo + step])
-    return out
+            p = rows[lo:lo + step] if idx is None else rows[idx[lo:lo + step]]
+            p = p if t is None else p @ t.T
+            hi = lo % size + len(p)
+            np.einsum("ij,ij->i", p, p, out=out[lo % size:hi])
+            if top and (hi == size or lo + len(p) == count):
+                r = np.maximum(r, out[:hi].max())   # NaN stays NaN
+    return r if top else out
 
 
 def _frame(x) -> _Frame:

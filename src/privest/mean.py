@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .covariance import TARGET_KAPPA, CovEstimate, _Pairs, ppc, pgce
-from .errors import InvalidParameterError, check, check_samples
+from .errors import InvalidParameterError, TooLargeError, check, check_samples
 from .histogram import argmax_bucket, histogram_zcdp
 from .noise import NoiseSource
 from .privacy import PrivacyBudget, gaussian_mechanism_vector
@@ -36,6 +36,8 @@ SCALE_VOTE = 0.15
 # Inverse-CDF spread clamp: the true spread t2-t1 in z-units is the ratio of
 # the voted scale to the true scale, itself within [1/4, 4] after the vote.
 _DZ_MIN, _DZ_MAX = 0.25, 4.0
+# Cap on the location vote's keys: pme's 1000 * R at R = 10 fits at any voted scale.
+MAX_LOCATION_KEYS = 2 ** 22
 
 
 @dataclass(eq=False)
@@ -70,7 +72,8 @@ def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
 
     The votes read a copy of the first half; once it is freed, the CDF readings
     count a copy of the second.  Each half is spent at rho/2, so by parallel
-    composition this is rho/2-zCDP, though it reports rho.  An empty vote aborts.
+    composition this is rho/2-zCDP, though it reports rho.  An empty vote aborts;
+    an R that needs over MAX_LOCATION_KEYS location keys raises TooLargeError.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 and x.shape[1:] != (1,):
@@ -106,6 +109,8 @@ def univariate_mean(x: np.ndarray, rho: float, beta: float, R: float,
     # voted scale, so the bucket is at least one true standard deviation
     # wide and the modal bucket keeps a quarter of the mass.
     width = sigma_hat if known_scale else 2.0 * sigma_hat
+    if not R <= (MAX_LOCATION_KEYS // 2 - 1) * width:   # reads R and the released scale only
+        raise TooLargeError(f"R = {R} needs over {MAX_LOCATION_KEYS} location keys of width {width}")
     g = math.ceil(R / width) + 1
     keys = _bucket_keys(np.divide(vote, width, out=vote), -g, g)
     del vote   # freed before its keys are counted and the CDF half is copied

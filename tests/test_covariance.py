@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 import warnings
@@ -301,7 +302,7 @@ class TestCachedFrame:
         assert np.linalg.norm(cov - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_refreshed_norms_match_the_map(self):
-        # push leaves the norms stale; a clamp the ellipsoid cannot clear
+        # push drops the norms; a clamp the ellipsoid cannot clear
         # forces one blocked exact pass (12 blocks of 256 rows, the last one
         # partial), after which they must equal the norms of the rows mapped
         # through M, and the ellipsoid's bound must hold every one of them
@@ -312,7 +313,7 @@ class TestCachedFrame:
         for k in (16, 3, 30):
             frame.push(np.linalg.qr(rng.standard_normal((32, k)))[0], 2.0, ROUND_SCALE)
         frame.moment(1.0)
-        assert not frame.stale
+        assert frame.norms is not None
         want = np.einsum("ij,ij->i", x @ frame.m.T, x @ frame.m.T)
         assert np.allclose(frame.norms, want, rtol=1e-12, atol=0.0)
         mahalanobis = np.einsum("ij,ij->i", x, np.linalg.solve(frame.second, x.T).T)
@@ -350,16 +351,16 @@ def ellipsoid_bound(frame):
 
 
 def spy_exact_passes(monkeypatch):
-    """Record, for each exact pass over a frame's rows, the frame's round
-    count and its ellipsoid's bound less the exact largest norm (None: no
-    ellipsoid)."""
+    """Record, for each exact pass over a frame's rows (one that builds its
+    norms), the frame's round count and its ellipsoid's bound less the exact
+    largest norm (None: no ellipsoid)."""
     passes, exact = [], _Frame._exact_norms
 
     def spy(frame):
-        stale = frame.stale
+        built = frame.norms is None
         bound = ellipsoid_bound(frame) if frame.ellipsoid else None
         norms = exact(frame)
-        if stale:
+        if built:
             top = norms.max(initial=0.0)
             passes.append((frame.rounds, None if bound is None else bound - top))
         return norms
@@ -369,8 +370,9 @@ def spy_exact_passes(monkeypatch):
 
 
 class TestLazyNorms:
-    """The frame's norms go stale after a push and are recomputed only when
-    no ellipsoid around the rows rules out a drop at the clamp."""
+    """The frame builds its norms only when neither its largest read norm
+    (never pushed) nor an ellipsoid around the rows (pushed) rules out a drop
+    at the clamp, and a push drops them."""
 
     @pytest.fixture(scope="class")
     def late_rows(self):
@@ -410,12 +412,23 @@ class TestLazyNorms:
         got = pgce(late_rows, rho, beta, kappa, NoiseSource(4)).sigma_hat
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
-    def test_unpushed_frame_never_refreshes(self, late_rows, monkeypatch):
+    def test_unpushed_frame_rereads_once_and_never_fits(self, late_rows, monkeypatch):
+        # the first read keeps no norms; the first clamp below its largest
+        # norm squares the rows once more, by the read's einsum, never through
+        # M = I, and the exact norms it builds serve every tighter clamp
         def refuse(*args):
-            raise AssertionError("an unpushed frame fitted or passed over its rows")
+            raise AssertionError("an unpushed frame fitted its rows")
+
+        squared, sq_under = [], covariance._sq_under
+
+        def spy(rows, t=None, idx=None, top=False):
+            if t is not None:
+                raise AssertionError("an unpushed frame mapped its rows")
+            squared.append(rows.shape[0])
+            return sq_under(rows, t, idx, top)
 
         monkeypatch.setattr(_Frame, "_fit", refuse)
-        monkeypatch.setattr(covariance, "_sq_under", refuse)
+        monkeypatch.setattr(covariance, "_sq_under", spy)
         clamps = [clamp_threshold_sq(k, 4, 20_000, 0.05) for k in (1e7, 1e5, 1e3, 10.0)]
         frame = _Frame(late_rows)
         for b_sq in clamps:
@@ -424,6 +437,7 @@ class TestLazyNorms:
             assert kept == want_kept
             assert np.linalg.norm(cov - want) <= 1e-10 * np.linalg.norm(want)
         assert kept < late_rows.shape[0]
+        assert sum(squared) == 2 * late_rows.shape[0] and frame.norms is not None
 
     def test_all_nan_rows_give_psd_estimate(self):
         # every row is outside every clamp, so the frame holds no rows
@@ -576,9 +590,9 @@ def pairs_of(x):
 
 class TestPairSource:
     """pgce over a ``_Pairs`` reads the pairs a block at a time; it must
-    admit, keep and drop the same pairs, with the same norms, as pgce over
-    the pairs built whole, and its estimate may differ only by the order of
-    the blocked Gram sum."""
+    admit, keep and drop the same pairs, with the same norms built on demand,
+    as pgce over the pairs built whole, and its estimate may differ only by
+    the order of the blocked Gram sum."""
 
     @pytest.mark.parametrize("n, kappa, extra", [
         (80_000, 100.0, None),       # three blocks, no rounds
@@ -603,7 +617,8 @@ class TestPairSource:
 
         def spy(frame, reach):
             read(frame, reach)
-            built.append((frame.norms.copy(), frame.out.copy()))
+            # built on a copy, so the frame itself still keeps no norms
+            built.append((copy.copy(frame)._exact_norms(), frame.out.copy()))
 
         monkeypatch.setattr(_Frame, "_read", spy)
         got = pgce(_Pairs(x), 1.0, 0.05, kappa, NoiseSource(7))
@@ -632,22 +647,22 @@ class TestPairSource:
 
     def test_no_mask_while_every_pair_is_in(self):
         # learn_gaussian's covariance stage on the learn-gaussian shape holds
-        # its pair norms and block temporaries only: a keep mask in the read
-        # or a drop mask in the moment would add a byte per pair, 0.19 MiB
-        # here against 0.05 MiB at a quarter of the rows
+        # block temporaries only, 0.42 MiB at either size: a keep mask in the
+        # read or a drop mask in the moment would add a byte per pair, 0.14
+        # MiB more at four times the rows
         x = gaussian_rows(np.geomspace(1.0, 100.0, 8), 400_000, 26)
         pgce(_Pairs(x[:2_000]), 0.5, 0.025, 100.0, NoiseSource(9))   # warm up
-        beyond = []
+        peaks = []
         for n in (100_000, 400_000):
             pairs = _Pairs(x[:n])
             tracemalloc.start()
             try:
                 est = pgce(pairs, 0.5, 0.025, 100.0, NoiseSource(9))
-                beyond.append(tracemalloc.get_traced_memory()[1] - 8 * pairs.shape[0])
+                peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
             assert est.diagnostics["dropped"] == 0
-        assert (beyond[1] - beyond[0]) / 2**20 <= 0.1
+        assert (peaks[1] - peaks[0]) / 2**20 <= 0.02
 
 
 def spy_reads(monkeypatch):
@@ -704,6 +719,64 @@ class TestFirstRead:
             tracemalloc.stop()
         assert est.diagnostics["dropped"] == 3
         assert peak / n <= 40.0
+
+
+class TestOnDemandNorms:
+    """A frame keeps no per-row norms while none is asked for: it builds the
+    exact norms under its map only for a caller that needs them row by row,
+    and its certified path holds O(d^2 + block) memory past the rows."""
+
+    @pytest.mark.parametrize("pairs", [False, True])
+    def test_all_in_read_keeps_no_row_array(self, pairs):
+        x = gaussian_rows(np.geomspace(1.0, 1e3, 6), 40_000, 30)
+        frame = _Frame(_Pairs(x) if pairs else x)
+        frame.moment(1e300)
+        assert frame.out.size == 0 and frame.idx is None and frame.norms is None
+        rows = [name for name, value in vars(frame).items() if name != "x"
+                and isinstance(value, np.ndarray) and value.size >= frame.shape[0]]
+        assert rows == []
+
+    @pytest.mark.parametrize("pushes", [0, 2])
+    @pytest.mark.parametrize("build", ["sq_norms", "clamp"])
+    def test_built_norms_are_the_mapped_rows_norms(self, pushes, build):
+        # the trace vote's sq_norms, or a clamp below the largest norm, builds
+        # the exact norms; the clamp then drops what clamped_covariance drops
+        rng = np.random.default_rng(31)
+        x = gaussian_rows(np.geomspace(1.0, 1e3, 6), 20_000, 31)
+        x[:5] *= 30.0
+        frame = _Frame(x)
+        frame.moment(1e300)
+        for v in random_pushes(rng, 6, pushes):
+            frame.push(v, 2.0, ROUND_SCALE)
+        mapped = x @ frame.m.T
+        want = np.einsum("ij,ij->i", mapped, mapped)
+        b_sq = float(np.quantile(want, 0.99))
+        got = frame.sq_norms() if build == "sq_norms" else None
+        cov, kept = frame.moment(b_sq)
+        got = frame.norms if got is None else got
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+        assert np.array_equal(frame.norms, got)
+        if not pushes:   # the read's own einsum: bit for bit
+            assert np.array_equal(got, want)
+        want_cov, want_kept = clamped_covariance(mapped, b_sq)
+        assert kept == want_kept == np.count_nonzero(got <= b_sq) < x.shape[0]
+        assert np.linalg.norm(cov - want_cov) <= 1e-12 * rounding_scale(frame)
+
+    def test_precond_peak_does_not_grow_with_n(self):
+        # pgce on the cov-precond shape (32 columns, kappa 1e6, 20 rounds):
+        # read, fit and every certified round hold O(d^2 + block) past the
+        # rows.  Kept norms would take 8 bytes per row, 1.53 MiB at 200k
+        x = gaussian_rows(np.geomspace(1.0, 1e6, 32), 200_000, 32)
+        pgce(x[:2_000], 1.0, 0.05, 1e6, NoiseSource(8))   # warm up
+        for n in (50_000, 200_000):
+            tracemalloc.start()
+            try:
+                est = pgce(x[:n], 1.0, 0.05, 1e6, NoiseSource(8))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(est.diagnostics["rounds"]) == 20 and est.diagnostics["dropped"] == 0
+            assert peak / 2**20 <= 0.35   # measured 0.18 at both
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, 1e150, 1e300])

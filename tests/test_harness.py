@@ -372,6 +372,16 @@ class TestCli:
             assert rc == 2
             assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("R", ["1e12", "1e300"])
+    def test_mean_bound_past_the_location_cap_is_exit_2(self, R, capsys):
+        # the location vote would need about 1e15 keys or more; it refuses
+        # before allocating any of them
+        rc = cli_main(["estimate-mean", "--rho", "1", "--n", "2000", "--d", "2",
+                       "--R", R, "--kappa", "1", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "location keys" in err
+
     def test_non_integer_block_size_in_config_is_exit_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "m.json"
         cfg_path.write_text(json.dumps({"m": 2.5}))

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
+from privest import mean
 from privest.covariance import ppc
-from privest.errors import InvalidParameterError
+from privest.errors import InvalidParameterError, TooLargeError
+from privest.histogram import HistogramResult
 from privest.linalg import GaussianParams, mahalanobis_vec, sample_gaussian
 from privest.mean import learn_gaussian, naive_pme, pme, univariate_mean
 from privest.metrics import tv_gaussian_mc
@@ -173,6 +175,46 @@ class TestUnivariateMean:
         assert est.mu_hat == mu_hat
         assert est.diagnostics.get("sigma_est") == sigma_est
 
+    @pytest.mark.parametrize("R", [1e12, 1e300, np.finfo(float).max])
+    def test_location_universe_past_the_cap_raises_before_any_draw(self, R):
+        # at kappa 1 the cap reads R alone: the vote would allocate 2R + 4
+        # keys (petabytes at 1e12), and R / width could overflow to inf
+        x = np.random.default_rng(3).standard_normal(2000)
+        noise = NoiseSource(5)
+        with pytest.raises(TooLargeError):
+            univariate_mean(x, 1.0, 0.05, R, 1.0, noise)
+        assert np.array_equal(noise.gaussian(1.0, size=8), NoiseSource(5).gaussian(1.0, size=8))
+
+    def test_largest_finite_bound_raises_without_overflow(self):
+        # at kappa 100 the voted width is a power of two below 1: R / width
+        # would overflow, so the cap compares R with the largest R it allows
+        x = np.random.default_rng(3).standard_normal(2000) * 5.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TooLargeError):
+                univariate_mean(x, 1.0, 0.05, np.finfo(float).max, 100.0, NoiseSource(5))
+
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_location_universe_at_the_cap(self, monkeypatch, over):
+        # R / width = 2^21 - 1 gives g = 2^21 and exactly 2^22 keys; a hair
+        # more gives g = 2^21 + 1, over the cap.  The vote is stubbed to an
+        # empty one, so no 2^22-key histogram is drawn
+        universes = []
+
+        def vote(keys, lo, hi, *args):
+            universes.append(hi - lo)
+            return HistogramResult(np.arange(0), np.zeros(0), keys.size, 0.0)
+
+        monkeypatch.setattr(mean, "histogram_zcdp", vote)
+        R = math.nextafter(2.0 ** 21 - 1.0, math.inf) if over else 2.0 ** 21 - 1.0
+        x = np.random.default_rng(4).standard_normal(2000)
+        if over:
+            with pytest.raises(TooLargeError):
+                univariate_mean(x, 1.0, 0.05, R, 1.0, NoiseSource(6))
+        else:
+            assert univariate_mean(x, 1.0, 0.05, R, 1.0, NoiseSource(6)).aborted
+        assert universes == ([] if over else [mean.MAX_LOCATION_KEYS])
+
 
 class TestNaivePme:
     def test_d1_matches_univariate_zero_noise(self):
@@ -336,6 +378,13 @@ class TestPme:
             good += mahalanobis_vec(est.mu_hat - mu, sigma) <= 0.3
         assert good >= 17
 
+    def test_huge_mean_bound_raises(self):
+        # pme votes over 1000 * R: at R = 1e12 the location vote would need
+        # about 1e15 keys at its smallest voted scale
+        x = NoiseSource(9).gaussian(1.0, size=(3000, 2))
+        with pytest.raises(TooLargeError):
+            pme(x, 1.0, 0.1, 0.05, 1e12, 1.0, NoiseSource(9))
+
 
 class TestLearnGaussian:
     def test_zero_noise_matches_plugin(self):
@@ -403,8 +452,8 @@ class TestLearnGaussian:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured 5.4 bytes per row without the huge rows and 13.2 with them
-        assert peak / n <= (16.0 if huge else 6.5)
+        # measured 3.57 bytes per row without the huge rows and 5.26 with them
+        assert peak / n <= (8.0 if huge else 4.5)
 
     def test_budget_composition(self):
         x = NoiseSource(13).gaussian(1.0, size=(1200, 2))
